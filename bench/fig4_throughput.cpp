@@ -23,25 +23,28 @@ void run_set(const char* set_name, const pattern::PatternSet& set,
   const std::vector<int> widths{14, 22, 12, 12, 12, 12};
   print_row({"trace", "algorithm", "Gbps", "stddev", "vs-DFC", "matches"}, widths);
 
-  std::vector<core::Algorithm> algos{core::Algorithm::aho_corasick, core::Algorithm::dfc};
-  if (core::algorithm_available(core::Algorithm::vector_dfc)) {
-    algos.push_back(core::Algorithm::vector_dfc);
-  }
-  algos.push_back(core::Algorithm::spatch);
-  if (core::algorithm_available(core::Algorithm::vpatch_avx2)) {
-    algos.push_back(core::Algorithm::vpatch_avx2);
-  }
-
   // Build once per set (construction excluded from scan timing, as in the
   // paper; AC's automaton build dominates otherwise).
   std::vector<MatcherPtr> matchers;
-  for (core::Algorithm a : algos) matchers.push_back(core::make_matcher(a, set));
+  matchers.push_back(core::make_matcher(core::Algorithm::aho_corasick, set));
+  const std::size_t dfc_row = matchers.size();
+  matchers.push_back(core::make_matcher(core::Algorithm::dfc, set));
+  if (core::algorithm_available(core::Algorithm::vector_dfc)) {
+    matchers.push_back(core::make_matcher(core::Algorithm::vector_dfc, set));
+  }
+  matchers.push_back(core::make_matcher(core::Algorithm::spatch, set));
+  // V-PATCH pinned to the paper's Haswell width (W = 8), not the widest.
+  if (simd::cpu().has_avx2_kernel()) {
+    core::VpatchConfig avx2;
+    avx2.isa = core::Isa::avx2;
+    matchers.push_back(std::make_unique<core::VpatchMatcher>(set, avx2));
+  }
 
   for (const Workload& w : workloads) {
     double dfc_gbps = 0.0;
     for (std::size_t i = 0; i < matchers.size(); ++i) {
       const Throughput t = measure_scan(*matchers[i], w.trace, opt.runs);
-      if (algos[i] == core::Algorithm::dfc) dfc_gbps = t.mean_gbps;
+      if (i == dfc_row) dfc_gbps = t.mean_gbps;
       const std::string speedup =
           dfc_gbps > 0.0 ? fmt(t.mean_gbps / dfc_gbps) : std::string("-");
       print_row({w.name, std::string(matchers[i]->name()), fmt(t.mean_gbps),

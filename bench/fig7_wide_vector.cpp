@@ -26,7 +26,7 @@ void run_set(const char* set_name, const pattern::PatternSet& set,
     algos.push_back(core::Algorithm::vector_dfc);
   }
   algos.push_back(core::Algorithm::spatch);
-  algos.push_back(core::Algorithm::vpatch_avx512);
+  algos.push_back(core::Algorithm::vpatch);  // main() requires AVX-512: W = 16
 
   std::vector<MatcherPtr> matchers;
   for (core::Algorithm a : algos) matchers.push_back(core::make_matcher(a, set));

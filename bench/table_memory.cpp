@@ -12,7 +12,6 @@
 
 #include "ac/ac_compact.hpp"
 #include "ac/ac_full.hpp"
-#include "ac/ac_sparse.hpp"
 #include "common.hpp"
 #include "core/prefilter.hpp"
 #include "util/timer.hpp"
@@ -35,8 +34,8 @@ int main_impl(int argc, char** argv) {
     if (opt.quick && n > 5000) break;
     const auto subset = full.random_subset(n, opt.seed + n);
     for (core::Algorithm algo :
-         {core::Algorithm::aho_corasick, core::Algorithm::aho_corasick_sparse,
-          core::Algorithm::aho_corasick_compact, core::Algorithm::dfc,
+         {core::Algorithm::aho_corasick, core::Algorithm::aho_corasick_compact,
+          core::Algorithm::dfc,
           core::Algorithm::spatch, core::Algorithm::vpatch, core::Algorithm::wu_manber}) {
       if (!core::algorithm_available(algo)) continue;
       util::Timer timer;
@@ -47,8 +46,6 @@ int main_impl(int argc, char** argv) {
         state_count = ac->state_count();
       } else if (const auto* acc = dynamic_cast<const ac::AcCompactMatcher*>(m.get())) {
         state_count = acc->state_count();
-      } else if (const auto* acs = dynamic_cast<const ac::AcSparseMatcher*>(m.get())) {
-        state_count = acs->state_count();
       }
       const std::string states = state_count ? std::to_string(state_count) : "-";
       const std::string bps =

@@ -320,16 +320,16 @@ int dispatch(const std::string& spec, const pattern::PatternSet& rules,
 int run(const util::Bytes& pcap_bytes, const pattern::PatternSet& rules,
         const SensorOptions& opt) {
   util::Timer timer;
-  const auto result =
-      ids::inspect_pcap(pcap_bytes, rules, {opt.algo, opt.prefilter}, opt.reassembly);
+  const auto result = ids::inspect_pcap(pcap_bytes, compile(opt.algo, rules), opt.prefilter,
+                                        opt.reassembly);
   const double secs = timer.seconds();
 
   std::printf("packets: %zu (skipped %zu), flows: %llu, reassembly drops: %llu, "
               "overlap bytes trimmed: %llu\n",
               result.packets, result.skipped_records,
               static_cast<unsigned long long>(result.counters.flows),
-              static_cast<unsigned long long>(result.reassembly_drops),
-              static_cast<unsigned long long>(result.duplicate_bytes_trimmed));
+              static_cast<unsigned long long>(result.reassembly.dropped_segments),
+              static_cast<unsigned long long>(result.reassembly.overlap_bytes_trimmed()));
   const net::ReassemblyStats& rs = result.reassembly;
   std::printf("reassembly [%s]: c2s %llu B in %llu chunks, s2c %llu B in %llu "
               "chunks, overwritten %llu B, connections %llu started / %llu ended "

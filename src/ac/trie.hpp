@@ -1,6 +1,6 @@
 // Aho-Corasick goto/fail trie construction.
 //
-// Shared by both automaton variants (full-matrix and sparse).  Built over
+// Shared by both automaton variants (full-matrix and compact).  Built over
 // case-folded bytes, as Snort's acsm does: the automaton alphabet is
 // lowercased, nocase patterns match directly on an automaton hit, and
 // case-sensitive patterns are verified against the original input bytes at
@@ -25,7 +25,7 @@ struct TrieNode {
   // Pattern ids whose folded form ends exactly at this node.
   std::vector<std::uint32_t> outputs;
   // Nearest state reachable via fail links that has outputs (kNoState when
-  // none) — the classic output-link chain for sparse scanning.
+  // none) — the classic output-link chain.
   std::uint32_t report_link = kNoState;
   std::uint8_t depth_byte = 0;  // folded byte on the edge from the parent
 };

@@ -2,7 +2,6 @@
 
 #include "ac/ac_compact.hpp"
 #include "ac/ac_full.hpp"
-#include "ac/ac_sparse.hpp"
 #include "core/naive.hpp"
 #include "core/spatch.hpp"
 #include "dfc/dfc.hpp"
@@ -12,51 +11,41 @@
 
 namespace vpm::core {
 
+namespace {
+constexpr Algorithm kAlgorithms[] = {
+    Algorithm::naive,  Algorithm::aho_corasick, Algorithm::aho_corasick_compact,
+    Algorithm::dfc,    Algorithm::vector_dfc,   Algorithm::spatch,
+    Algorithm::vpatch, Algorithm::wu_manber};
+}  // namespace
+
 std::string_view algorithm_name(Algorithm a) {
   switch (a) {
     case Algorithm::naive: return "naive";
     case Algorithm::aho_corasick: return "aho-corasick";
-    case Algorithm::aho_corasick_sparse: return "aho-corasick-sparse";
     case Algorithm::aho_corasick_compact: return "aho-corasick-compact";
     case Algorithm::dfc: return "dfc";
     case Algorithm::vector_dfc: return "vector-dfc";
     case Algorithm::spatch: return "s-patch";
     case Algorithm::vpatch: return "v-patch";
-    case Algorithm::vpatch_avx2: return "v-patch-avx2";
-    case Algorithm::vpatch_avx512: return "v-patch-avx512";
     case Algorithm::wu_manber: return "wu-manber";
   }
   return "?";
 }
 
 std::optional<Algorithm> algorithm_from_name(std::string_view name) {
-  for (Algorithm a : {Algorithm::naive, Algorithm::aho_corasick, Algorithm::aho_corasick_sparse,
-                      Algorithm::aho_corasick_compact, Algorithm::dfc, Algorithm::vector_dfc,
-                      Algorithm::spatch, Algorithm::vpatch, Algorithm::vpatch_avx2,
-                      Algorithm::vpatch_avx512, Algorithm::wu_manber}) {
+  for (Algorithm a : kAlgorithms) {
     if (algorithm_name(a) == name) return a;
   }
   return std::nullopt;
 }
 
 bool algorithm_available(Algorithm a) {
-  switch (a) {
-    case Algorithm::vector_dfc:
-    case Algorithm::vpatch_avx2:
-      return simd::cpu().has_avx2_kernel();
-    case Algorithm::vpatch_avx512:
-      return simd::cpu().has_avx512_kernel();
-    default:
-      return true;
-  }
+  return a != Algorithm::vector_dfc || simd::cpu().has_avx2_kernel();
 }
 
 std::vector<Algorithm> available_algorithms() {
   std::vector<Algorithm> out;
-  for (Algorithm a : {Algorithm::naive, Algorithm::aho_corasick, Algorithm::aho_corasick_sparse,
-                      Algorithm::aho_corasick_compact, Algorithm::dfc, Algorithm::vector_dfc,
-                      Algorithm::spatch, Algorithm::vpatch, Algorithm::vpatch_avx2,
-                      Algorithm::vpatch_avx512, Algorithm::wu_manber}) {
+  for (Algorithm a : kAlgorithms) {
     if (algorithm_available(a)) out.push_back(a);
   }
   return out;
@@ -68,8 +57,6 @@ MatcherPtr make_matcher(Algorithm a, const pattern::PatternSet& set) {
       return std::make_unique<NaiveMatcher>(set);
     case Algorithm::aho_corasick:
       return std::make_unique<ac::AcFullMatcher>(set);
-    case Algorithm::aho_corasick_sparse:
-      return std::make_unique<ac::AcSparseMatcher>(set);
     case Algorithm::aho_corasick_compact:
       // Always available: the scalar compact scan needs no vector ISA; the
       // lane-parallel scan_batch kernel dispatches through simd::cpu().
@@ -82,16 +69,6 @@ MatcherPtr make_matcher(Algorithm a, const pattern::PatternSet& set) {
       return std::make_unique<SpatchMatcher>(set);
     case Algorithm::vpatch:
       return std::make_unique<VpatchMatcher>(set);
-    case Algorithm::vpatch_avx2: {
-      VpatchConfig cfg;
-      cfg.isa = Isa::avx2;
-      return std::make_unique<VpatchMatcher>(set, cfg);
-    }
-    case Algorithm::vpatch_avx512: {
-      VpatchConfig cfg;
-      cfg.isa = Isa::avx512;
-      return std::make_unique<VpatchMatcher>(set, cfg);
-    }
     case Algorithm::wu_manber:
       return std::make_unique<wm::WuManberMatcher>(set);
   }

@@ -22,18 +22,18 @@
 
 namespace vpm::core {
 
+// Explicit values: Database::save_patterns writes the enumerator as the
+// serialized algorithm hint, so a value is never reused.  Retired: 2 (sparse
+// AC), 8 and 9 (V-PATCH forced to W=8/W=16; VpatchConfig::isa covers them).
 enum class Algorithm : std::uint8_t {
-  naive,
-  aho_corasick,          // full-matrix (the paper's AC baseline)
-  aho_corasick_sparse,   // failure-link variant
-  aho_corasick_compact,  // compressed interleaved layout + SIMD lane batch kernel
-  dfc,                  // Choi et al. baseline
-  vector_dfc,           // direct vectorization of DFC
-  spatch,               // scalar restructured design
-  vpatch,               // vectorized, widest available kernel
-  vpatch_avx2,          // forced W=8
-  vpatch_avx512,        // forced W=16
-  wu_manber,
+  naive = 0,
+  aho_corasick = 1,          // full-matrix (the paper's AC baseline)
+  aho_corasick_compact = 3,  // compressed interleaved layout + SIMD lane batch kernel
+  dfc = 4,                   // Choi et al. baseline
+  vector_dfc = 5,            // direct vectorization of DFC
+  spatch = 6,                // scalar restructured design
+  vpatch = 7,                // vectorized, widest available kernel
+  wu_manber = 10,
 };
 
 std::string_view algorithm_name(Algorithm a);

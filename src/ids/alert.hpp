@@ -15,7 +15,7 @@ struct Alert {
   std::uint64_t stream_offset = 0;  // match start within the flow's byte stream
   pattern::Group group = pattern::Group::generic;
   // Ruleset generation the alert was produced under (Database::generation()
-  // of the rules; 0 for rules compiled through the legacy PatternSet shims).
+  // of the rules).
   // Lets hot-swap consumers attribute every alert to the exact ruleset that
   // raised it, even while workers straddle a swap.
   std::uint64_t generation = 0;

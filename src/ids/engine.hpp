@@ -20,18 +20,13 @@ class Histogram;
 
 namespace vpm::ids {
 
-struct EngineConfig {
-  core::Algorithm algorithm = core::Algorithm::vpatch;
-  core::PrefilterMode prefilter = core::PrefilterMode::automatic;
-};
-
 struct EngineCounters {
   std::uint64_t bytes_inspected = 0;
   std::uint64_t chunks = 0;
   std::uint64_t alerts = 0;
   std::uint64_t flows = 0;  // distinct flows ever seen (not currently active)
-  // Prefilter screening decisions (flush_batch path; counted only when the
-  // screen actually ran — bypassed or prefilter-off payloads count neither).
+  // Prefilter screening decisions (counted only when the screen actually
+  // ran — bypassed or prefilter-off payloads count neither).
   std::uint64_t prefilter_pass_payloads = 0;
   std::uint64_t prefilter_reject_payloads = 0;
   std::uint64_t prefilter_pass_bytes = 0;
@@ -64,11 +59,6 @@ struct EngineTelemetry {
 
 class IdsEngine {
  public:
-  // Legacy shim: compiles a private GroupedRules from a caller-owned set
-  // (copied; the caller's set is not referenced afterwards).  Alerts carry
-  // generation 0.  Prefer the Database/GroupedRulesPtr constructors.
-  IdsEngine(const pattern::PatternSet& rules, EngineConfig cfg = {});
-
   // Compiles protocol groups keyed off a shared database; alerts carry
   // db->generation().
   explicit IdsEngine(DatabasePtr db);
@@ -90,7 +80,8 @@ class IdsEngine {
   std::uint64_t generation() const { return rules_->generation(); }
 
   // Inspects the next payload chunk of `flow_id` (protocol fixed per flow at
-  // first sight); delivers alerts to `sink` as they are found.
+  // first sight): stage() then flush_batch(), so alerts reach `sink` before
+  // it returns — including those of any chunk other flows had staged.
   void inspect(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
                AlertSink& sink);
 
@@ -101,22 +92,21 @@ class IdsEngine {
     inspect(flow_id, protocol, chunk, buffer);
   }
 
-  // Batched inspection fast path (the pipeline worker's per-PacketBatch
-  // loop).  stage() copies `chunk` into the flow's stream buffer and defers
-  // the scan; flush_batch() runs ONE Matcher::scan_batch per protocol group
-  // over every staged chunk, reusing per-group engine-owned scratch — zero
-  // steady-state heap allocations, and each group's filter structures stay
-  // cache-resident across the whole batch.  Alert multiset per chunk is
-  // identical to inspect(); alert ORDER within a batch is engine-specific.
-  // If `flow_id` already has a staged chunk, stage() flushes first so
-  // per-flow stream order is preserved (hence the sink parameter).  `chunk`
-  // need only stay valid for the stage() call itself.
+  // The scan path (the pipeline worker's per-PacketBatch loop).  stage()
+  // copies `chunk` into the flow's stream buffer and defers the scan;
+  // flush_batch() screens (see set_prefilter_mode) and runs ONE
+  // Matcher::scan_batch per protocol group over every staged chunk, reusing
+  // per-group engine-owned scratch — zero steady-state heap allocations, and
+  // each group's filter structures stay cache-resident across the whole
+  // batch.  Alert ORDER within a batch is engine-specific.  If `flow_id`
+  // already has a staged chunk, stage() flushes first so per-flow stream
+  // order is preserved (hence the sink parameter).  `chunk` need only stay
+  // valid for the stage() call itself.
   //
   // Sink reentrancy: an AlertSink::on_alert callback may call close_flow()
-  // (teardown-on-alert; deferred until the live scan — flush_batch or
-  // inspect's feed — completes) but must NOT call stage()/inspect()/
-  // flush_batch() on this engine: the batch being scanned cannot be
-  // mutated mid-flush.
+  // (teardown-on-alert; deferred until the live flush completes) but must
+  // NOT call stage()/inspect()/flush_batch() on this engine: the batch being
+  // scanned cannot be mutated mid-flush.
   void stage(std::uint64_t flow_id, pattern::Group protocol, util::ByteView chunk,
              AlertSink& sink);
   void flush_batch(AlertSink& sink);
@@ -139,7 +129,7 @@ class IdsEngine {
   // before the owning worker starts processing.
   void set_telemetry(const EngineTelemetry& t) { telemetry_ = t; }
 
-  // Prefilter engagement policy for the flush_batch path (see PrefilterMode).
+  // Prefilter engagement policy (see PrefilterMode).
   // Alert results are mode-independent (the screen has zero false negatives);
   // only throughput and the prefilter_* counters change.  Not synchronized
   // against concurrent scans — set before processing starts.
@@ -208,9 +198,9 @@ class IdsEngine {
   static constexpr std::uint32_t kPrefilterSampleWindow = 64;
   static constexpr std::uint32_t kPrefilterBypassPayloads = 31 * 64;
   std::array<PrefilterAuto, kGroups> pf_auto_{};
-  // Set while a scan is live (flush_batch, or inspect()'s feed): close_flow
-  // from an AlertSink defers while set, so the scanner/batch being driven is
-  // never destroyed under its own callback.
+  // Set while flush_batch scans: close_flow from an AlertSink defers while
+  // set, so the batch being driven is never destroyed under its own
+  // callback.
   bool in_scan_ = false;
   std::vector<std::uint64_t> deferred_close_;
 

@@ -4,11 +4,8 @@
 
 namespace vpm::ids {
 
-StreamScanner::StreamScanner(const Matcher& matcher, std::size_t max_pattern_len,
-                             std::vector<std::uint32_t> pattern_lengths)
-    : matcher_(&matcher),
-      carry_capacity_(max_pattern_len > 0 ? max_pattern_len - 1 : 0),
-      lengths_(std::move(pattern_lengths)) {}
+StreamScanner::StreamScanner(std::size_t max_pattern_len)
+    : carry_capacity_(max_pattern_len > 0 ? max_pattern_len - 1 : 0) {}
 
 util::ByteView StreamScanner::prepare(util::ByteView chunk) {
   // Assemble carry + chunk; the view stays valid until commit() (the buffer
@@ -29,37 +26,6 @@ void StreamScanner::commit() {
     std::copy(buffer_.end() - static_cast<long>(carry_len_), buffer_.end(), buffer_.begin());
   }
   buffer_.resize(carry_len_);
-  staged_ = false;
-}
-
-void StreamScanner::feed(util::ByteView chunk, MatchSink& sink) {
-  const util::ByteView view = prepare(chunk);
-
-  struct DedupSink final : MatchSink {
-    MatchSink* inner = nullptr;
-    const StreamScanner* scanner = nullptr;
-    std::uint64_t base = 0;
-    std::size_t carry = 0;
-    void on_match(const Match& m) override {
-      if (scanner->already_reported(m, carry)) return;
-      inner->on_match({m.pattern_id, base + m.pos});
-    }
-  } dedup;
-  dedup.inner = &sink;
-  dedup.scanner = this;
-  dedup.base = staged_base();
-  dedup.carry = staged_carry();
-
-  matcher_->scan(view, dedup);
-  commit();
-}
-
-void StreamScanner::reset() {
-  buffer_.clear();
-  carry_len_ = 0;
-  consumed_ = 0;
-  carry_at_stage_ = 0;
-  staged_chunk_len_ = 0;
   staged_ = false;
 }
 

@@ -1,59 +1,39 @@
-// Streaming scan over a flow's reassembled byte stream.
+// Per-flow stream buffer for the staged scan over a flow's reassembled bytes.
 //
 // NIDS payloads arrive in chunks; a pattern may straddle a chunk boundary.
 // StreamScanner keeps the last (max_pattern_len - 1) bytes of the previous
-// data as carry, scans carry+chunk, and reports each match exactly once with
-// absolute stream offsets: a match that ends inside the carry region was
-// already reported by the previous feed and is suppressed.
+// data as carry and hands out carry+chunk as the view to scan, with the
+// offsets the engine needs to report each match exactly once at its
+// absolute stream position: a match that ends inside the carry region was
+// already reported by the previous chunk's scan and is suppressed.
 #pragma once
 
 #include <cstdint>
 
-#include "match/matcher.hpp"
 #include "util/bytes.hpp"
 
 namespace vpm::ids {
 
 class StreamScanner {
  public:
-  // `matcher` must outlive the scanner; `max_pattern_len` bounds the carry.
-  // `pattern_lengths` (pattern id -> byte length) is copied.
-  StreamScanner(const Matcher& matcher, std::size_t max_pattern_len,
-                std::vector<std::uint32_t> pattern_lengths);
+  // `max_pattern_len` bounds the carry.
+  explicit StreamScanner(std::size_t max_pattern_len);
 
-  // Scans the next chunk; emits matches (absolute stream offsets) to sink.
-  void feed(util::ByteView chunk, MatchSink& sink);
-
-  // Staged (batched) protocol, the deferred flavor of feed(): prepare()
-  // assembles carry+chunk into the flow buffer and returns the view to scan
-  // (stable until commit()); the caller scans it — typically many flows
-  // together through Matcher::scan_batch — suppressing matches that end
-  // inside staged_carry() (already reported by the previous feed) and
-  // rebasing surviving positions by staged_base(); commit() consumes the
-  // chunk and retains the next carry.  At most one chunk may be staged at a
-  // time; feed() must not run while a chunk is staged.
+  // Staged protocol: prepare() assembles carry+chunk into the flow buffer
+  // and returns the view to scan (stable until commit()); the caller scans
+  // it — typically many flows together through Matcher::scan_batch —
+  // suppressing matches that end inside staged_carry() and rebasing
+  // surviving positions by staged_base(); commit() consumes the chunk and
+  // retains the next carry.  At most one chunk may be staged at a time.
   util::ByteView prepare(util::ByteView chunk);
   void commit();
   bool staged() const { return staged_; }
   std::size_t staged_carry() const { return carry_at_stage_; }
   std::uint64_t staged_base() const { return consumed_ - carry_at_stage_; }
 
-  // The carry-dedup rule shared by feed() and the engine's batched flush: a
-  // match ending inside the carry was already reported by the previous feed.
-  bool already_reported(const Match& m, std::size_t carry) const {
-    return m.pos + lengths_[m.pattern_id] <= carry;
-  }
-
-  // Total bytes consumed so far.
-  std::uint64_t stream_length() const { return consumed_; }
-
-  void reset();
-
  private:
-  const Matcher* matcher_;
   std::size_t carry_capacity_;
-  std::vector<std::uint32_t> lengths_;  // pattern id -> byte length
-  util::Bytes buffer_;                         // carry + current chunk
+  util::Bytes buffer_;  // carry + current chunk
   std::size_t carry_len_ = 0;
   std::uint64_t consumed_ = 0;
   std::size_t carry_at_stage_ = 0;  // carry length captured by prepare()

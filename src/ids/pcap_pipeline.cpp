@@ -22,14 +22,16 @@ pattern::Group classify_port(std::uint16_t dst_port) {
   }
 }
 
-PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::PatternSet& rules,
-                                EngineConfig cfg, net::ReassemblyConfig reassembly) {
+PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, DatabasePtr db,
+                                core::PrefilterMode prefilter,
+                                net::ReassemblyConfig reassembly) {
   PcapPipelineResult result;
   const net::PcapParseResult parsed = net::read_pcap(pcap_bytes);
   result.packets = parsed.packets.size();
   result.skipped_records = parsed.skipped_records;
 
-  IdsEngine engine(rules, cfg);
+  IdsEngine engine(std::move(db));
+  engine.set_prefilter_mode(prefilter);
 
   // Dense flow ids per directional 5-tuple: each side of a connection scans
   // as its own stream.
@@ -56,15 +58,14 @@ PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::Patter
     if (p.tuple.proto == net::IpProto::tcp) {
       reassembler.ingest(p);
     } else {
-      // UDP: datagram-scoped scan, no cross-datagram state.
+      // UDP: no reassembly; the engine's per-flow carry spans the datagrams
+      // of one directional tuple.
       engine.inspect(flow_id_of(p.tuple), classify_port(p.tuple.dst_port), p.payload,
                      result.alerts);
     }
   }
 
   result.counters = engine.counters();
-  result.reassembly_drops = reassembler.dropped_segments();
-  result.duplicate_bytes_trimmed = reassembler.duplicate_bytes_trimmed();
   result.reassembly = reassembler.stats();
   return result;
 }

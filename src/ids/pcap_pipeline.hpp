@@ -16,10 +16,8 @@ struct PcapPipelineResult {
   EngineCounters counters;
   std::size_t packets = 0;
   std::size_t skipped_records = 0;
-  std::uint64_t reassembly_drops = 0;
-  std::uint64_t duplicate_bytes_trimmed = 0;
-  // Full per-side/lifecycle reassembly counters (the two fields above are
-  // aggregates of this, kept for existing callers).
+  // Per-side/lifecycle reassembly counters (dropped_segments,
+  // overlap_bytes_trimmed(), ...).
   net::ReassemblyStats reassembly;
 };
 
@@ -30,11 +28,14 @@ struct PcapPipelineResult {
 pattern::Group classify_port(std::uint16_t dst_port);
 
 // Parses `pcap_bytes`, reassembles every TCP flow bidirectionally (each side
-// scans as its own stream; UDP payloads are scanned per-datagram), and
-// inspects each stream with the grouped rules.  `reassembly` selects the
-// overlap policy and buffering limits.
-PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, const pattern::PatternSet& rules,
-                                EngineConfig cfg = {},
+// scans as its own stream), and inspects each stream with the rules grouped
+// off `db`; alerts carry db->generation().  UDP datagrams of one directional
+// tuple are scanned as one stream too: the engine keeps that flow's carry
+// across datagrams, as the pipeline worker does.  `prefilter` sets the
+// engine's screen mode; `reassembly` selects the overlap policy and
+// buffering limits.
+PcapPipelineResult inspect_pcap(util::ByteView pcap_bytes, DatabasePtr db,
+                                core::PrefilterMode prefilter = core::PrefilterMode::automatic,
                                 net::ReassemblyConfig reassembly = {});
 
 }  // namespace vpm::ids

@@ -6,21 +6,11 @@ namespace vpm::ids {
 
 GroupedRules::GroupedRules(DatabasePtr db) : db_(std::move(db)) {
   if (db_ == nullptr) throw std::invalid_argument("GroupedRules: null database");
-  algorithm_ = db_->algorithm();
-  build(db_->patterns(), algorithm_);
-}
-
-GroupedRules::GroupedRules(const pattern::PatternSet& master, core::Algorithm algorithm)
-    : algorithm_(algorithm) {
-  build(master, algorithm);
-}
-
-void GroupedRules::build(const pattern::PatternSet& master, core::Algorithm algorithm) {
   using pattern::Group;
   for (std::size_t g = 0; g < entries_.size(); ++g) {
     Entry& entry = entries_[g];
     const Group group = static_cast<Group>(g);
-    for (const pattern::Pattern& p : master) {
+    for (const pattern::Pattern& p : db_->patterns()) {
       // Each group's working set = its own patterns + the generic ones; the
       // generic matcher sees only generic patterns.
       if (p.group != group && p.group != Group::generic) continue;
@@ -31,8 +21,7 @@ void GroupedRules::build(const pattern::PatternSet& master, core::Algorithm algo
         entry.max_len = std::max(entry.max_len, p.size());
       }
     }
-    entry.prefilter = db_ != nullptr ? db_->prefilter_for(group)
-                                     : core::build_prefilter(entry.patterns);
+    entry.prefilter = db_->prefilter_for(group);
     if (entry.patterns.empty()) {
       // Keep a valid (trivially empty-result) matcher for protocol groups
       // with no rules: one unmatched sentinel pattern is cheaper than a null
@@ -41,7 +30,7 @@ void GroupedRules::build(const pattern::PatternSet& master, core::Algorithm algo
       entry.matcher = core::make_matcher(core::Algorithm::naive, entry.patterns);
       continue;
     }
-    entry.matcher = core::make_matcher(algorithm, entry.patterns);
+    entry.matcher = core::make_matcher(db_->algorithm(), entry.patterns);
   }
 }
 

@@ -14,9 +14,9 @@
 // caller-owned ScanScratch), so one instance can back any number of engine
 // instances across threads — the pipeline shares one GroupedRulesPtr per
 // ruleset generation among all workers instead of compiling per worker.
-// Build it from a DatabasePtr to key the groups off a shared compiled
-// database: the Database ref keeps the master pattern bytes alive and
-// supplies the generation id alerts are tagged with.
+// It is built from a DatabasePtr, which keeps the master pattern bytes
+// alive and supplies the engine, the per-group prefilter signatures and the
+// generation id alerts are tagged with.
 #pragma once
 
 #include <array>
@@ -39,16 +39,10 @@ class GroupedRules {
   // db->generation().
   explicit GroupedRules(DatabasePtr db);
 
-  // Legacy shim: compiles from a caller-owned master set (copied into the
-  // per-group sets; the caller's set is not referenced after construction).
-  // generation() is 0 on this path.
-  GroupedRules(const pattern::PatternSet& master, core::Algorithm algorithm);
-
   // The ruleset generation alerts produced through these rules carry.
-  std::uint64_t generation() const { return db_ != nullptr ? db_->generation() : 0; }
-  // The backing database (null on the legacy shim path).
+  std::uint64_t generation() const { return db_->generation(); }
   const DatabasePtr& database() const { return db_; }
-  core::Algorithm algorithm() const { return algorithm_; }
+  core::Algorithm algorithm() const { return db_->algorithm(); }
 
   // The matcher for traffic of protocol `g` (http/dns/ftp/smtp/generic).
   const Matcher& matcher_for(pattern::Group g) const { return *entries_[index(g)].matcher; }
@@ -65,18 +59,15 @@ class GroupedRules {
   const std::vector<std::uint32_t>& pattern_lengths(pattern::Group g) const {
     return entries_[index(g)].lengths;
   }
-  // The group's approximate q-gram signature (null = no usable signature).
-  // Comes from the backing Database when built from one (so a deserialized
-  // artifact screens with the exact saved signature); the legacy shim path
-  // builds it locally over the group's working set.
+  // The group's approximate q-gram signature (null = no usable signature),
+  // taken from the backing Database, so a deserialized artifact screens with
+  // the exact saved signature.
   const core::PrefilterPtr& prefilter_for(pattern::Group g) const {
     return entries_[index(g)].prefilter;
   }
 
  private:
   static std::size_t index(pattern::Group g) { return static_cast<std::size_t>(g); }
-
-  void build(const pattern::PatternSet& master, core::Algorithm algorithm);
 
   struct Entry {
     pattern::PatternSet patterns;
@@ -86,8 +77,7 @@ class GroupedRules {
     core::PrefilterPtr prefilter;
     std::size_t max_len = 0;
   };
-  DatabasePtr db_;  // null on the legacy shim path
-  core::Algorithm algorithm_ = core::Algorithm::vpatch;
+  DatabasePtr db_;
   std::array<Entry, static_cast<std::size_t>(pattern::Group::count)> entries_;
 };
 

@@ -61,8 +61,8 @@ inline std::uint64_t flow_key(const net::FiveTuple& tuple) { return tuple.hash()
 enum class BackpressurePolicy : std::uint8_t { block, drop };
 
 struct PipelineConfig {
-  // Engine for the legacy PatternSet constructor only; the DatabasePtr
-  // constructor takes the algorithm from the compiled database.
+  // Read by nothing in the library: the runtime takes its engine from the
+  // compiled database.  Kept only for callers that still set it.
   core::Algorithm algorithm = core::Algorithm::vpatch;
   // Approximate q-gram prefilter ahead of each worker's exact engines.
   // Alert output is mode-independent (zero false negatives); `automatic`

@@ -38,22 +38,18 @@ std::vector<std::size_t> compute_worker_slots(const PipelineConfig& cfg) {
 
 }  // namespace
 
-PipelineRuntime::PipelineRuntime(ids::GroupedRulesPtr rules, DatabasePtr db,
-                                 PipelineConfig cfg)
-    : cfg_(cfg) {
+PipelineRuntime::PipelineRuntime(DatabasePtr db, PipelineConfig cfg) : cfg_(cfg) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.batch_packets == 0) cfg_.batch_packets = 1;
   worker_slot_ = compute_worker_slots(cfg_);
   std::size_t num_slots = 1;
   for (const std::size_t s : worker_slot_) num_slots = std::max(num_slots, s + 1);
 
-  // Slot 0 adopts the caller's instance; further slots get their own
-  // GroupedRules compiled off the same database — same generation (it comes
-  // from the database), node-local matcher tables.  The legacy PatternSet
-  // path has no database to recompile from and shares the one instance.
-  std::vector<ids::GroupedRulesPtr> replicas(num_slots, rules);
-  for (std::size_t s = 1; s < num_slots && db != nullptr; ++s) {
-    replicas[s] = std::make_shared<const ids::GroupedRules>(db);
+  // One GroupedRules per slot, each compiled off the same database — same
+  // generation (it comes from the database), node-local matcher tables.
+  std::vector<ids::GroupedRulesPtr> replicas(num_slots);
+  for (ids::GroupedRulesPtr& replica : replicas) {
+    replica = std::make_shared<const ids::GroupedRules>(db);
   }
   rules_channels_.reserve(num_slots);
   for (std::size_t s = 0; s < num_slots; ++s) {
@@ -79,15 +75,6 @@ PipelineRuntime::PipelineRuntime(ids::GroupedRulesPtr rules, DatabasePtr db,
                                           cfg_.backpressure, cfg_.metrics != nullptr);
 }
 
-PipelineRuntime::PipelineRuntime(DatabasePtr db, PipelineConfig cfg)
-    : PipelineRuntime(std::make_shared<const ids::GroupedRules>(db), db, cfg) {}
-
-PipelineRuntime::PipelineRuntime(const pattern::PatternSet& rules, PipelineConfig cfg)
-    // Legacy shim: generation-0 rules, matching the legacy single-threaded
-    // IdsEngine(rules, cfg) reference alert-for-alert.
-    : PipelineRuntime(std::make_shared<const ids::GroupedRules>(rules, cfg.algorithm),
-                      nullptr, cfg) {}
-
 void PipelineRuntime::swap_database(DatabasePtr db) {
   if (db == nullptr) {
     throw std::invalid_argument("PipelineRuntime::swap_database: null database");
@@ -112,8 +99,7 @@ void PipelineRuntime::swap_database(DatabasePtr db) {
 }
 
 std::uint64_t PipelineRuntime::generation() const {
-  const ids::GroupedRulesPtr rules = rules_channels_.front()->current();
-  return rules != nullptr ? rules->generation() : 0;
+  return rules_channels_.front()->current()->generation();
 }
 
 void PipelineRuntime::quiesce() {

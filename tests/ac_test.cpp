@@ -1,5 +1,5 @@
-// Aho-Corasick tests: trie construction, the three automaton variants
-// (full-matrix, sparse failure-link, compressed interleaved), textbook
+// Aho-Corasick tests: trie construction, the two automaton variants
+// (full-matrix, compressed interleaved), textbook
 // cases, overlap semantics, randomized differential checks vs naive, and
 // the lane-parallel batch kernel vs scalar full-table AC.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "ac/ac_compact.hpp"
 #include "ac/ac_full.hpp"
-#include "ac/ac_sparse.hpp"
 #include "ac/trie.hpp"
 #include "helpers.hpp"
 #include "simd/cpu_features.hpp"
@@ -49,7 +48,7 @@ TEST(Trie, GotoFollowsPatternBytes) {
 template <typename M>
 class AcVariants : public ::testing::Test {};
 
-using Variants = ::testing::Types<AcFullMatcher, AcSparseMatcher, AcCompactMatcher>;
+using Variants = ::testing::Types<AcFullMatcher, AcCompactMatcher>;
 TYPED_TEST_SUITE(AcVariants, Variants);
 
 TYPED_TEST(AcVariants, ClassicUshersExample) {
@@ -187,21 +186,6 @@ TEST(AcFull, MemoryGrowsWithPatternCount) {
   const AcFullMatcher b(large);
   EXPECT_GT(b.memory_bytes(), a.memory_bytes()) << testutil::seed_note();
   EXPECT_GT(b.state_count(), a.state_count()) << testutil::seed_note();
-}
-
-TEST(AcFull, SparseUsesLessMemoryThanFull) {
-  const auto set = testutil::random_set(500, 16, testutil::case_seed(3), 26);
-  const AcFullMatcher full(set);
-  const AcSparseMatcher sparse(set);
-  EXPECT_LT(sparse.memory_bytes(), full.memory_bytes()) << testutil::seed_note();
-}
-
-TEST(AcFull, FullAndSparseAgreeOnRealisticSet) {
-  const auto set = testutil::random_set(200, 10, testutil::case_seed(4));
-  const AcFullMatcher full(set);
-  const AcSparseMatcher sparse(set);
-  const auto text = testutil::random_text(20000, testutil::case_seed(5));
-  EXPECT_EQ(full.find_matches(text), sparse.find_matches(text)) << testutil::seed_note();
 }
 
 // ---- compact layout ---------------------------------------------------------------

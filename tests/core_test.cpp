@@ -344,10 +344,16 @@ TEST(MatcherFactory, AvailableAlgorithmsAllConstructAndScan) {
 
 TEST(MatcherFactory, UnavailableAlgorithmsThrowInsteadOfMisbehaving) {
   const auto set = testutil::boundary_set();
-  for (const Algorithm a :
-       {Algorithm::vector_dfc, Algorithm::vpatch_avx2, Algorithm::vpatch_avx512}) {
-    if (algorithm_available(a)) continue;
-    EXPECT_THROW((void)make_matcher(a, set), std::runtime_error) << algorithm_name(a);
+  if (!algorithm_available(Algorithm::vector_dfc)) {
+    EXPECT_THROW((void)make_matcher(Algorithm::vector_dfc, set), std::runtime_error);
+  }
+  // A V-PATCH width this CPU (or VPM_FORCE_ISA) cannot run is refused at
+  // construction, not silently narrowed.
+  for (const Isa isa : {Isa::avx2, Isa::avx512}) {
+    if (isa_supported(isa)) continue;
+    VpatchConfig cfg;
+    cfg.isa = isa;
+    EXPECT_THROW((VpatchMatcher{set, cfg}), std::runtime_error) << isa_name(isa);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "core/database.hpp"
@@ -146,6 +147,22 @@ TEST(Database, FromSerializedV1NeedsExplicitAlgorithm) {
   const DatabasePtr db = Database::from_serialized(v1, Algorithm::aho_corasick);
   EXPECT_EQ(db->pattern_count(), set.size());
   EXPECT_EQ(db->fingerprint(), Database::fingerprint_of(set));
+}
+
+TEST(Database, FromSerializedRejectsRetiredAlgorithmHint) {
+  // Enumerator values 2, 8 and 9 named engines that no longer exist; a blob
+  // carrying one must not load as whichever engine holds a nearby value.
+  util::Bytes blob = compile(Algorithm::naive, small_set())->save_patterns();
+  for (const int retired : {2, 8, 9}) {
+    blob[12] = static_cast<std::uint8_t>(retired);  // v2: magic (8) | version u32 | hint u8
+    try {
+      (void)Database::from_serialized(blob);
+      ADD_FAILURE() << "hint " << retired << " loaded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("no usable algorithm hint"), std::string::npos)
+          << "hint " << retired << ": " << e.what();
+    }
+  }
 }
 
 TEST(Database, FromSerializedRejectsCorruptPayload) {

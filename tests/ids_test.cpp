@@ -2,101 +2,91 @@
 // end-to-end engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/database.hpp"
 #include "core/matcher_factory.hpp"
 #include "helpers.hpp"
 #include "ids/engine.hpp"
-#include "ids/flow.hpp"
 #include "ids/rule_group.hpp"
 
 namespace vpm::ids {
 namespace {
 
-std::vector<std::uint32_t> lengths_of(const pattern::PatternSet& set) {
-  std::vector<std::uint32_t> lengths;
-  for (const pattern::Pattern& p : set) lengths.push_back(static_cast<std::uint32_t>(p.size()));
-  return lengths;
+// Alerts as stream matches (master id, absolute offset), sorted — comparable
+// with Matcher::find_matches over the whole stream.
+std::vector<Match> matches_of(const std::vector<Alert>& alerts) {
+  std::vector<Match> out;
+  for (const Alert& a : alerts) out.push_back({a.pattern_id, a.stream_offset});
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-// ---- StreamScanner -------------------------------------------------------
+// ---- Streaming scan (per-flow carry) -----------------------------------------
 
-TEST(StreamScanner, WholeBufferEqualsSingleFeed) {
+TEST(IdsEngineStream, WholeBufferEqualsSingleChunk) {
   const auto set = testutil::boundary_set();
   const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  const auto lengths = lengths_of(set);
   const auto text = testutil::random_text(5000, 1);
 
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths);
-  CollectingSink streamed;
-  scanner.feed(text, streamed);
-  EXPECT_EQ(streamed.sorted(), m->find_matches(text));
+  IdsEngine engine(compile(core::Algorithm::spatch, set));
+  std::vector<Alert> alerts;
+  engine.inspect(1, pattern::Group::generic, text, alerts);
+  EXPECT_EQ(matches_of(alerts), m->find_matches(text));
 }
 
-TEST(StreamScanner, ChunkedFeedEqualsWholeBuffer) {
+TEST(IdsEngineStream, ChunkedEqualsWholeBuffer) {
   const auto set = testutil::random_set(60, 8, 2);
   const auto m = core::make_matcher(core::Algorithm::vpatch, set);
-  const auto lengths = lengths_of(set);
   const auto text = testutil::random_text(20000, 3);
   const auto expected = m->find_matches(text);
 
+  const DatabasePtr db = compile(core::Algorithm::vpatch, set);
   for (std::size_t chunk_len : {1u, 7u, 100u, 1024u, 9999u}) {
-    StreamScanner scanner(*m, set.max_pattern_length(), lengths);
-    CollectingSink sink;
+    IdsEngine engine(db);
+    std::vector<Alert> alerts;
     for (std::size_t off = 0; off < text.size(); off += chunk_len) {
       const std::size_t len = std::min(chunk_len, text.size() - off);
-      scanner.feed({text.data() + off, len}, sink);
+      engine.inspect(1, pattern::Group::generic, {text.data() + off, len}, alerts);
     }
-    EXPECT_EQ(sink.sorted(), expected) << "chunk_len=" << chunk_len;
+    EXPECT_EQ(matches_of(alerts), expected) << "chunk_len=" << chunk_len;
   }
 }
 
-TEST(StreamScanner, MatchStraddlingChunkBoundaryFoundOnce) {
+TEST(IdsEngineStream, MatchStraddlingChunkBoundaryFoundOnce) {
   pattern::PatternSet set;
   set.add("straddle");
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
-  CollectingSink sink;
-  scanner.feed(util::as_view("xxxxstra"), sink);
-  scanner.feed(util::as_view("ddlexxxx"), sink);
-  ASSERT_EQ(sink.matches().size(), 1u);
-  EXPECT_EQ(sink.matches()[0].pos, 4u);
+  IdsEngine engine(compile(core::Algorithm::spatch, set));
+  std::vector<Alert> alerts;
+  engine.inspect(1, pattern::Group::generic, util::as_view("xxxxstra"), alerts);
+  engine.inspect(1, pattern::Group::generic, util::as_view("ddlexxxx"), alerts);
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].stream_offset, 4u);
 }
 
-TEST(StreamScanner, MatchInsideCarryNotDuplicated) {
+TEST(IdsEngineStream, MatchInsideCarryNotDuplicated) {
   pattern::PatternSet set;
   set.add("dup");
   set.add("abcdefghij");  // long max-len -> deep carry
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
-  CollectingSink sink;
-  scanner.feed(util::as_view("xxdupxx"), sink);   // match fully in first chunk
-  scanner.feed(util::as_view("yyyyyyy"), sink);   // carry re-scan must not re-report
-  ASSERT_EQ(sink.matches().size(), 1u);
-  EXPECT_EQ(sink.matches()[0].pos, 2u);
+  IdsEngine engine(compile(core::Algorithm::spatch, set));
+  std::vector<Alert> alerts;
+  // Match fully in the first chunk; the carry re-scan must not re-report it.
+  engine.inspect(1, pattern::Group::generic, util::as_view("xxdupxx"), alerts);
+  engine.inspect(1, pattern::Group::generic, util::as_view("yyyyyyy"), alerts);
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].stream_offset, 2u);
 }
 
-TEST(StreamScanner, OffsetsAreAbsolute) {
+TEST(IdsEngineStream, OffsetsAreAbsolute) {
   pattern::PatternSet set;
   set.add("mark");
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
-  CollectingSink sink;
-  scanner.feed(util::as_view("0123456789"), sink);
-  scanner.feed(util::as_view("0123mark89"), sink);
-  ASSERT_EQ(sink.matches().size(), 1u);
-  EXPECT_EQ(sink.matches()[0].pos, 14u);
-  EXPECT_EQ(scanner.stream_length(), 20u);
-}
-
-TEST(StreamScanner, ResetForgetsHistory) {
-  pattern::PatternSet set;
-  set.add("join");
-  const auto m = core::make_matcher(core::Algorithm::spatch, set);
-  StreamScanner scanner(*m, set.max_pattern_length(), lengths_of(set));
-  CollectingSink sink;
-  scanner.feed(util::as_view("xxjo"), sink);
-  scanner.reset();
-  scanner.feed(util::as_view("inxx"), sink);
-  EXPECT_TRUE(sink.matches().empty());
+  IdsEngine engine(compile(core::Algorithm::spatch, set));
+  std::vector<Alert> alerts;
+  engine.inspect(1, pattern::Group::generic, util::as_view("0123456789"), alerts);
+  engine.inspect(1, pattern::Group::generic, util::as_view("0123mark89"), alerts);
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].stream_offset, 14u);
+  EXPECT_EQ(engine.counters().bytes_inspected, 20u);
 }
 
 // ---- GroupedRules -------------------------------------------------------------
@@ -112,7 +102,7 @@ pattern::PatternSet grouped_set() {
 
 TEST(GroupedRules, HttpGroupSeesHttpAndGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   const auto& http = rules.patterns_for(pattern::Group::http);
   EXPECT_EQ(http.size(), 2u);
   EXPECT_TRUE(http.contains(util::as_view("GET /evil"), false));
@@ -122,13 +112,13 @@ TEST(GroupedRules, HttpGroupSeesHttpAndGeneric) {
 
 TEST(GroupedRules, GenericGroupSeesOnlyGeneric) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   EXPECT_EQ(rules.patterns_for(pattern::Group::generic).size(), 1u);
 }
 
 TEST(GroupedRules, MasterIdMappingRoundTrips) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   const auto& smtp = rules.patterns_for(pattern::Group::smtp);
   for (std::uint32_t local = 0; local < smtp.size(); ++local) {
     const auto master_id = rules.master_id(pattern::Group::smtp, local);
@@ -138,7 +128,7 @@ TEST(GroupedRules, MasterIdMappingRoundTrips) {
 
 TEST(GroupedRules, HttpMatcherIgnoresSmtpPattern) {
   const auto master = grouped_set();
-  const GroupedRules rules(master, core::Algorithm::spatch);
+  const GroupedRules rules(compile(core::Algorithm::spatch, master));
   const auto& m = rules.matcher_for(pattern::Group::http);
   EXPECT_EQ(m.count_matches(util::as_view("EHLO spam")), 0u);
   EXPECT_EQ(m.count_matches(util::as_view("GET /evil generic-attack")), 2u);
@@ -148,7 +138,7 @@ TEST(GroupedRules, HttpMatcherIgnoresSmtpPattern) {
 
 TEST(IdsEngine, ProducesAlertsWithMasterIds) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(1, pattern::Group::http, util::as_view("zz GET /evil zz"), alerts);
   ASSERT_EQ(alerts.size(), 1u);
@@ -160,7 +150,7 @@ TEST(IdsEngine, ProducesAlertsWithMasterIds) {
 
 TEST(IdsEngine, RoutesByProtocol) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   // SMTP pattern inside an HTTP flow: not matched (different group).
   engine.inspect(1, pattern::Group::http, util::as_view("EHLO spam"), alerts);
@@ -172,7 +162,7 @@ TEST(IdsEngine, RoutesByProtocol) {
 TEST(IdsEngine, FlowsKeepIndependentStreams) {
   pattern::PatternSet master;
   master.add("crossflow", false, pattern::Group::http);
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(1, pattern::Group::http, util::as_view("xxcross"), alerts);
   engine.inspect(2, pattern::Group::http, util::as_view("flowxx"), alerts);
@@ -185,7 +175,7 @@ TEST(IdsEngine, FlowsKeepIndependentStreams) {
 TEST(IdsEngine, CloseFlowDropsCarry) {
   pattern::PatternSet master;
   master.add("severed", false, pattern::Group::http);
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(5, pattern::Group::http, util::as_view("xxseve"), alerts);
   engine.close_flow(5);
@@ -195,7 +185,7 @@ TEST(IdsEngine, CloseFlowDropsCarry) {
 
 TEST(IdsEngine, CountersAccumulate) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(1, pattern::Group::http, util::as_view("GET /evil"), alerts);
   engine.inspect(1, pattern::Group::http, util::as_view("generic-attack"), alerts);
@@ -209,7 +199,7 @@ TEST(IdsEngine, CountersAccumulate) {
 
 TEST(IdsEngine, FormatAlertIsReadable) {
   const auto master = grouped_set();
-  IdsEngine engine(master, {core::Algorithm::spatch});
+  IdsEngine engine(compile(core::Algorithm::spatch, master));
   std::vector<Alert> alerts;
   engine.inspect(3, pattern::Group::http, util::as_view("GET /evil"), alerts);
   ASSERT_EQ(alerts.size(), 1u);

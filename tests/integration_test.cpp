@@ -69,7 +69,7 @@ TEST(Integration, IdsEngineMatchesWholeStreamScan) {
   auto stream = traffic::generate_trace(traffic::TraceKind::iscx_day2, 1 << 16, testutil::case_seed(58));
   traffic::inject_matches(stream, ruleset.web_patterns(), 0.01, testutil::case_seed(59));
 
-  ids::IdsEngine engine(ruleset, {core::Algorithm::vpatch});
+  ids::IdsEngine engine(compile(core::Algorithm::vpatch, ruleset));
   std::vector<ids::Alert> alerts;
   util::Rng rng(testutil::case_seed(60));
   std::size_t off = 0;

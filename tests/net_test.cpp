@@ -662,12 +662,13 @@ TEST(PcapPipeline, EndToEndMatchesDirectScan) {
   }
 
   const auto pcap = net::write_pcap(packets);
-  const auto result = inspect_pcap(pcap, rules, {core::Algorithm::vpatch});
+  const DatabasePtr db = compile(core::Algorithm::vpatch, rules);
+  const auto result = inspect_pcap(pcap, db);
   EXPECT_EQ(result.skipped_records, 0u);
-  EXPECT_EQ(result.reassembly_drops, 0u);
+  EXPECT_EQ(result.reassembly.dropped_segments, 0u);
 
   // Ground truth: scan each stream directly with the http-group matcher.
-  const GroupedRules grouped(rules, core::Algorithm::vpatch);
+  const GroupedRules grouped(db);
   std::size_t expected = 0;
   for (const auto& s : repacked.streams) {
     expected += grouped.matcher_for(pattern::Group::http).count_matches(s);
@@ -691,7 +692,8 @@ TEST(PcapPipeline, UdpPayloadsScannedPerDatagram) {
   p.tuple.dst_port = 53;
   p.tuple.proto = net::IpProto::udp;
   p.payload = util::to_bytes("xx dns-marker yy");
-  const auto result = inspect_pcap(net::write_pcap({p}), rules, {core::Algorithm::spatch});
+  const auto result =
+      inspect_pcap(net::write_pcap({p}), compile(core::Algorithm::spatch, rules));
   ASSERT_EQ(result.alerts.size(), 1u);
   EXPECT_EQ(result.alerts[0].group, pattern::Group::dns);
 }

@@ -81,13 +81,13 @@ std::vector<net::Packet> mixed_traffic(std::uint64_t seed) {
 
 // The single-threaded reference: one reassembler feeding one engine, flow
 // ids, protocol classification, and connection-lifecycle teardown identical
-// to the pipeline workers'.
+// to the pipeline workers'.  Share `db` with the pipeline under test so the
+// alerts' generations agree.
 std::vector<ids::Alert> single_threaded_reference(const std::vector<net::Packet>& packets,
-                                                  const pattern::PatternSet& rules,
-                                                  core::Algorithm algorithm,
+                                                  const DatabasePtr& db,
                                                   ids::EngineCounters* counters_out,
                                                   net::ReassemblyConfig reassembly = {}) {
-  ids::IdsEngine engine(rules, {algorithm});
+  ids::IdsEngine engine(db);
   std::vector<ids::Alert> alerts;
   net::TcpReassembler reassembler(
       [&](const net::StreamChunk& chunk) {
@@ -118,22 +118,20 @@ TEST_P(PipelineDifferential, ShardedAlertsEqualSingleThreaded) {
   const core::Algorithm algorithm = GetParam();
   if (!core::algorithm_available(algorithm)) GTEST_SKIP() << "algorithm unavailable";
 
-  const auto rules = mixed_rules();
+  const DatabasePtr db = compile(algorithm, mixed_rules());
   const auto packets = mixed_traffic(testutil::case_seed(80));
 
   ids::EngineCounters ref_counters;
-  const auto expected =
-      single_threaded_reference(packets, rules, algorithm, &ref_counters);
+  const auto expected = single_threaded_reference(packets, db, &ref_counters);
   ASSERT_GT(expected.size(), 0u) << "workload must produce alerts to compare ("
                                  << testutil::seed_note() << ")";
 
   for (unsigned workers : {1u, 2u, 4u}) {
     for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
       PipelineConfig cfg;
-      cfg.algorithm = algorithm;
       cfg.workers = workers;
       cfg.batch_packets = batch;
-      PipelineRuntime rt(rules, cfg);
+      PipelineRuntime rt(db, cfg);
       rt.start();
       rt.submit(std::span<const net::Packet>(packets));
       rt.stop();
@@ -172,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, PipelineDifferential,
 TEST(PipelineDifferentialExtra, HeavyReorderingAcrossManyFlows) {
   // A second universe: more flows than workers, heavier reordering, property
   // seeded — the reassembled streams must still yield identical alerts.
-  const auto rules = mixed_rules();
+  const DatabasePtr db = compile(core::Algorithm::vpatch, mixed_rules());
   net::FlowGenConfig cfg;
   cfg.flow_count = 16;
   cfg.bytes_per_flow = 20000;
@@ -180,14 +178,12 @@ TEST(PipelineDifferentialExtra, HeavyReorderingAcrossManyFlows) {
   cfg.seed = testutil::case_seed(81);
   auto flows = net::generate_flows(cfg);
 
-  const auto expected =
-      single_threaded_reference(flows.packets, rules, core::Algorithm::vpatch, nullptr);
+  const auto expected = single_threaded_reference(flows.packets, db, nullptr);
 
   PipelineConfig pcfg;
-  pcfg.algorithm = core::Algorithm::vpatch;
   pcfg.workers = 4;
   pcfg.batch_packets = 7;  // deliberately not a divisor of anything
-  PipelineRuntime rt(rules, pcfg);
+  PipelineRuntime rt(db, pcfg);
   rt.start();
   for (net::Packet& p : flows.packets) rt.submit(std::move(p));
   rt.stop();
@@ -208,7 +204,7 @@ class PipelineEvasionDifferential
 
 TEST_P(PipelineEvasionDifferential, ShardedEqualsReferenceOnEvasionCorpus) {
   const net::OverlapPolicy policy = GetParam();
-  const auto rules = mixed_rules();
+  const DatabasePtr db = compile(core::Algorithm::vpatch, mixed_rules());
   net::FlowGenConfig cfg;
   cfg.flow_count = 8;
   cfg.bytes_per_flow = 20000;
@@ -219,18 +215,16 @@ TEST_P(PipelineEvasionDifferential, ShardedEqualsReferenceOnEvasionCorpus) {
 
   net::ReassemblyConfig rcfg;
   rcfg.overlap = policy;
-  const auto expected = single_threaded_reference(flows.packets, rules,
-                                                  core::Algorithm::vpatch, nullptr, rcfg);
+  const auto expected = single_threaded_reference(flows.packets, db, nullptr, rcfg);
   ASSERT_GT(expected.size(), 0u)
       << "evasion workload must produce alerts (" << testutil::seed_note() << ")";
 
   for (unsigned workers : {1u, 3u}) {
     PipelineConfig pcfg;
-    pcfg.algorithm = core::Algorithm::vpatch;
     pcfg.workers = workers;
     pcfg.batch_packets = 5;
     pcfg.reassembly = rcfg;
-    PipelineRuntime rt(rules, pcfg);
+    PipelineRuntime rt(db, pcfg);
     rt.start();
     rt.submit(std::span<const net::Packet>(flows.packets));
     rt.stop();
@@ -262,15 +256,13 @@ INSTANTIATE_TEST_SUITE_P(Policies, PipelineEvasionDifferential,
 // traffic (no handshakes, no FIN/RST — exactly what the old reassembler
 // understood) it must reproduce the same alerts byte for byte.
 TEST(PipelineDifferentialExtra, FirstPolicyMatchesLegacySemantics) {
-  const auto rules = mixed_rules();
+  const DatabasePtr db = compile(core::Algorithm::vpatch, mixed_rules());
   const auto packets = mixed_traffic(testutil::case_seed(83));
 
-  const auto with_default = single_threaded_reference(packets, rules,
-                                                      core::Algorithm::vpatch, nullptr);
+  const auto with_default = single_threaded_reference(packets, db, nullptr);
   net::ReassemblyConfig explicit_first;
   explicit_first.overlap = net::OverlapPolicy::first;
-  const auto with_first = single_threaded_reference(
-      packets, rules, core::Algorithm::vpatch, nullptr, explicit_first);
+  const auto with_first = single_threaded_reference(packets, db, nullptr, explicit_first);
   EXPECT_EQ(with_default, with_first);
   ASSERT_GT(with_first.size(), 0u) << testutil::seed_note();
 }

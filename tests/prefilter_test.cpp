@@ -444,11 +444,13 @@ std::vector<Chunk> make_chunks(const pattern::PatternSet& rules, std::uint64_t s
   return interleaved;
 }
 
-std::vector<ids::Alert> drive_engine(const pattern::PatternSet& rules,
-                                     core::Algorithm algo, core::PrefilterMode mode,
+// Runs are compared alert-for-alert, generation included, so every run of
+// one comparison shares `db`.
+std::vector<ids::Alert> drive_engine(const DatabasePtr& db, core::PrefilterMode mode,
                                      std::size_t batch, const std::vector<Chunk>& chunks,
                                      ids::EngineCounters& counters_out) {
-  ids::IdsEngine engine(rules, {algo, mode});
+  ids::IdsEngine engine(db);
+  engine.set_prefilter_mode(mode);
   std::vector<ids::Alert> alerts;
   ids::AlertBuffer sink(alerts);
   std::size_t staged = 0;
@@ -471,12 +473,11 @@ TEST(PrefilterEngineDifferential, AlertsIdenticalWithScreenOnAcrossEngines) {
        {core::Algorithm::aho_corasick, core::Algorithm::aho_corasick_compact,
         core::Algorithm::vpatch, core::Algorithm::dfc, core::Algorithm::wu_manber}) {
     if (!core::algorithm_available(algo)) continue;
+    const DatabasePtr db = compile(algo, rules);
     for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
       ids::EngineCounters off_counters, on_counters;
-      const auto off = drive_engine(rules, algo, core::PrefilterMode::off, batch,
-                                    chunks, off_counters);
-      const auto on = drive_engine(rules, algo, core::PrefilterMode::on, batch,
-                                   chunks, on_counters);
+      const auto off = drive_engine(db, core::PrefilterMode::off, batch, chunks, off_counters);
+      const auto on = drive_engine(db, core::PrefilterMode::on, batch, chunks, on_counters);
       ASSERT_GT(off.size(), 0u)
           << "workload must alert (" << core::algorithm_name(algo) << ", "
           << seed_note() << ")";
@@ -497,18 +498,20 @@ TEST(PrefilterEngineDifferential, AlertsIdenticalWithScreenOnAcrossEngines) {
   }
 }
 
-// The per-chunk inspect() API routes through the staged path whenever the
-// screen would engage, so the legacy single-threaded surface (inspect_pcap,
-// example sensors without --workers) gets the same screening — and the same
-// alert multiset — as stage()/flush_batch().
+// The per-chunk inspect() API is a one-chunk stage()/flush_batch(), so the
+// single-threaded surface (inspect_pcap, example sensors without --workers)
+// gets the same screening — and the same alert multiset — as batched
+// staging.
 TEST(PrefilterEngineDifferential, InspectPathScreensIdentically) {
   const auto rules = grouped_long_rules(case_seed(444));
   std::vector<util::Bytes> streams;
   const auto chunks = make_chunks(rules, case_seed(445), streams);
 
+  const DatabasePtr db = compile(core::Algorithm::aho_corasick_compact, rules);
   const auto drive_inspect = [&](core::PrefilterMode mode,
                                  ids::EngineCounters& counters_out) {
-    ids::IdsEngine engine(rules, {core::Algorithm::aho_corasick_compact, mode});
+    ids::IdsEngine engine(db);
+    engine.set_prefilter_mode(mode);
     std::vector<ids::Alert> alerts;
     ids::AlertBuffer sink(alerts);
     for (const Chunk& c : chunks) engine.inspect(c.flow, c.protocol, c.view, sink);
@@ -520,8 +523,7 @@ TEST(PrefilterEngineDifferential, InspectPathScreensIdentically) {
   ids::EngineCounters off_counters, on_counters, staged_counters;
   const auto off = drive_inspect(core::PrefilterMode::off, off_counters);
   const auto on = drive_inspect(core::PrefilterMode::on, on_counters);
-  const auto staged = drive_engine(rules, core::Algorithm::aho_corasick_compact,
-                                   core::PrefilterMode::on, 32, chunks, staged_counters);
+  const auto staged = drive_engine(db, core::PrefilterMode::on, 32, chunks, staged_counters);
   ASSERT_GT(off.size(), 0u) << "workload must alert (" << seed_note() << ")";
   ASSERT_EQ(on, off) << "screened inspect() changed the alert multiset ("
                      << seed_note() << ")";
@@ -555,11 +557,10 @@ TEST(PrefilterEngineAuto, BypassesMatchHeavyTrafficWithoutLosingAlerts) {
   }
 
   ids::EngineCounters off_counters, auto_counters;
-  const auto off = drive_engine(rules, core::Algorithm::aho_corasick,
-                                core::PrefilterMode::off, 32, chunks, off_counters);
-  const auto adaptive = drive_engine(rules, core::Algorithm::aho_corasick,
-                                     core::PrefilterMode::automatic, 32, chunks,
-                                     auto_counters);
+  const DatabasePtr db = compile(core::Algorithm::aho_corasick, rules);
+  const auto off = drive_engine(db, core::PrefilterMode::off, 32, chunks, off_counters);
+  const auto adaptive =
+      drive_engine(db, core::PrefilterMode::automatic, 32, chunks, auto_counters);
   ASSERT_GT(off.size(), 0u) << seed_note();
   EXPECT_EQ(adaptive, off) << seed_note();
 
@@ -590,10 +591,9 @@ TEST(PrefilterEngineAuto, DoesNotEngageBelowPatternFloor) {
   }
 
   ids::EngineCounters auto_counters, on_counters;
-  drive_engine(rules, core::Algorithm::aho_corasick, core::PrefilterMode::automatic, 32,
-               chunks, auto_counters);
-  drive_engine(rules, core::Algorithm::aho_corasick, core::PrefilterMode::on, 32,
-               chunks, on_counters);
+  const DatabasePtr db = compile(core::Algorithm::aho_corasick, rules);
+  drive_engine(db, core::PrefilterMode::automatic, 32, chunks, auto_counters);
+  drive_engine(db, core::PrefilterMode::on, 32, chunks, on_counters);
   EXPECT_EQ(auto_counters.prefilter_pass_payloads +
                 auto_counters.prefilter_reject_payloads,
             0u);
@@ -626,14 +626,14 @@ TEST(PrefilterPipelineDifferential, ShardedAlertsIdenticalAcrossModes) {
   fcfg.dst_port = 80;
   auto flows = net::generate_flows(fcfg);
 
+  const DatabasePtr db = compile(core::Algorithm::aho_corasick, rules);
   auto run = [&](core::PrefilterMode mode, unsigned workers,
                  pipeline::WorkerStats& totals_out) {
     pipeline::PipelineConfig cfg;
-    cfg.algorithm = core::Algorithm::aho_corasick;
     cfg.prefilter = mode;
     cfg.workers = workers;
     cfg.batch_packets = 32;
-    pipeline::PipelineRuntime rt(rules, cfg);
+    pipeline::PipelineRuntime rt(db, cfg);
     rt.start();
     rt.submit(std::span<const net::Packet>(flows.packets));
     rt.stop();

@@ -387,15 +387,16 @@ std::vector<net::Packet> web_traffic(std::uint64_t seed) {
   return net::generate_flows(cfg).packets;
 }
 
+// Runs are compared alert-for-alert, generation included, so they share `db`.
 std::vector<ids::Alert> run_pipeline(const std::vector<net::Packet>& packets,
-                                     const pattern::PatternSet& rules,
+                                     const DatabasePtr& db,
                                      telemetry::MetricsRegistry* metrics,
                                      ids::AlertSink* sink = nullptr) {
   pipeline::PipelineConfig cfg;
   cfg.workers = 2;
   cfg.metrics = metrics;
   cfg.alert_sink = sink;
-  pipeline::PipelineRuntime rt(rules, cfg);
+  pipeline::PipelineRuntime rt(db, cfg);
   rt.start();
   rt.submit(std::span<const net::Packet>(packets));
   rt.stop();
@@ -407,15 +408,15 @@ std::vector<ids::Alert> run_pipeline(const std::vector<net::Packet>& packets,
 // Telemetry must be a pure observer: enabling the registry (clock reads,
 // histogram records, stamped batches) changes zero alerts.
 TEST(TelemetryDifferential, EnablingTelemetryChangesNoAlerts) {
-  const auto rules = web_rules();
+  const DatabasePtr db = compile(core::Algorithm::vpatch, web_rules());
   const auto packets = web_traffic(testutil::case_seed(700));
 
-  const auto plain = run_pipeline(packets, rules, nullptr);
+  const auto plain = run_pipeline(packets, db, nullptr);
   ASSERT_GT(plain.size(), 0u) << "workload must alert to be meaningful ("
                               << testutil::seed_note() << ")";
 
   telemetry::MetricsRegistry registry;
-  const auto instrumented = run_pipeline(packets, rules, &registry);
+  const auto instrumented = run_pipeline(packets, db, &registry);
   EXPECT_EQ(instrumented, plain);
 
   // And the instruments actually recorded the run.
@@ -433,9 +434,10 @@ TEST(TelemetryDifferential, EnablingTelemetryChangesNoAlerts) {
 // every alert becomes exactly one parseable line.
 TEST(TelemetryDifferential, NdjsonSinkPreservesTheAlertMultiset) {
   const auto rules = web_rules();
+  const DatabasePtr db = compile(core::Algorithm::vpatch, rules);
   const auto packets = web_traffic(testutil::case_seed(701));
 
-  const auto plain = run_pipeline(packets, rules, nullptr);
+  const auto plain = run_pipeline(packets, db, nullptr);
   ASSERT_GT(plain.size(), 0u);
 
   char* buffer = nullptr;
@@ -447,7 +449,7 @@ TEST(TelemetryDifferential, NdjsonSinkPreservesTheAlertMultiset) {
   std::uint64_t emitted = 0;
   {
     telemetry::NdjsonAlertSink sink(mem, &rules, &collect);
-    run_pipeline(packets, rules, nullptr, &sink);
+    run_pipeline(packets, db, nullptr, &sink);
     sink.flush();
     emitted = sink.emitted();
     EXPECT_TRUE(sink.ok());
