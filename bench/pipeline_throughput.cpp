@@ -262,7 +262,7 @@ int churn_mode(const Options& opt, std::size_t total_flows, std::size_t evict_st
   // keeps the scan observable (a result-free sweep is dead code to the
   // optimizer, which benchmarks an empty loop at 0 ms).
   std::uint64_t visited_full = 0;
-  table.sweep([&](std::uint64_t, std::uint64_t) {
+  table.sweep_step(table.capacity(), [&](std::uint64_t, std::uint64_t) {
     ++visited_full;
     return false;
   });

@@ -7,6 +7,7 @@
 // With no argument, a synthetic S1-like ruleset (~2.5 K patterns) and an
 // ISCX-like HTTP traffic mix with injected attacks are generated.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "ids/engine.hpp"
@@ -24,8 +25,12 @@ int main(int argc, char** argv) {
   // 1. Rules: parse a real Snort rules file if given, else generate.
   pattern::PatternSet rules;
   if (argc > 1) {
-    const auto text = util::read_file(argv[1]);
-    rules = pattern::patterns_from_rules(util::to_string(text));
+    try {
+      rules = pattern::patterns_from_rules(util::to_string(util::read_file(argv[1])));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "ids_inspect: %s\n", e.what());
+      return 1;
+    }
     std::printf("loaded %zu patterns from %s\n", rules.size(), argv[1]);
   } else {
     rules = pattern::generate_ruleset(pattern::s1_config(42));

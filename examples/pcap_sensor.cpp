@@ -394,10 +394,8 @@ int run_demo(const SensorOptions& opt) {
   }
 
   const auto pcap = net::write_pcap(flows.packets);
-  const std::string path = "/tmp/vpm_demo.pcap";
-  util::write_file(path, pcap);
-  std::printf("wrote %zu packets (%zu KB) to %s\n\n", flows.packets.size(),
-              pcap.size() >> 10, path.c_str());
+  std::printf("synthesized %zu packets (%zu KB) in memory\n\n", flows.packets.size(),
+              pcap.size() >> 10);
 
   pattern::PatternSet rules;
   rules.add("/etc/passwd", true, pattern::Group::http);

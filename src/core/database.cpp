@@ -14,6 +14,18 @@ std::uint64_t next_generation() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+// Per-group signatures over the same pattern subset each GroupedRules entry
+// scans (the group's own patterns plus the generic group).
+core::GroupPrefilters build_group_prefilters(const pattern::PatternSet& set) {
+  core::GroupPrefilters prefilters;
+  for (std::size_t g = 0; g < core::kPrefilterGroupCount; ++g) {
+    const auto group = static_cast<pattern::Group>(g);
+    prefilters[g] =
+        core::build_prefilter(set.filter_groups({group, pattern::Group::generic}));
+  }
+  return prefilters;
+}
+
 }  // namespace
 
 std::uint64_t Database::fingerprint_of(const pattern::PatternSet& set) {
@@ -28,8 +40,10 @@ std::uint64_t Database::fingerprint_of(const pattern::PatternSet& set) {
   return h;
 }
 
-Database::Database(Private, core::Algorithm algorithm, pattern::PatternSet patterns)
+Database::Database(Private, core::Algorithm algorithm, pattern::PatternSet patterns,
+                   core::GroupPrefilters prefilters)
     : patterns_(std::move(patterns)),
+      prefilters_(std::move(prefilters)),
       algorithm_(algorithm),
       generation_(next_generation()),
       fingerprint_(fingerprint_of(patterns_)) {
@@ -39,13 +53,6 @@ Database::Database(Private, core::Algorithm algorithm, pattern::PatternSet patte
     throw std::runtime_error(std::string("compile: algorithm '") +
                              std::string(core::algorithm_name(algorithm_)) +
                              "' is unavailable on this CPU");
-  }
-  // Per-group signatures over the same pattern subset each GroupedRules
-  // entry scans (the group's own patterns plus the generic group).
-  for (std::size_t g = 0; g < core::kPrefilterGroupCount; ++g) {
-    const auto group = static_cast<pattern::Group>(g);
-    prefilters_[g] =
-        core::build_prefilter(patterns_.filter_groups({group, pattern::Group::generic}));
   }
 }
 
@@ -77,7 +84,9 @@ util::Bytes Database::save_patterns() const {
 }
 
 DatabasePtr compile(core::Algorithm algorithm, pattern::PatternSet set) {
-  return std::make_shared<Database>(Database::Private{}, algorithm, std::move(set));
+  core::GroupPrefilters prefilters = build_group_prefilters(set);
+  return std::make_shared<Database>(Database::Private{}, algorithm, std::move(set),
+                                    std::move(prefilters));
 }
 
 DatabasePtr Database::from_serialized_impl(util::ByteView blob,
@@ -89,7 +98,8 @@ DatabasePtr Database::from_serialized_impl(util::ByteView blob,
   // always writes it); exempting 0 would let corruption that zeroes the
   // header field silently disable the integrity check.  v1 blobs predate
   // fingerprints and are admitted unchecked.
-  if (header.version >= 2 && header.fingerprint != Database::fingerprint_of(set)) {
+  const std::uint64_t fingerprint = Database::fingerprint_of(set);
+  if (header.version >= 2 && header.fingerprint != fingerprint) {
     throw std::invalid_argument("pattern db: fingerprint mismatch (corrupt payload)");
   }
   core::Algorithm algorithm;
@@ -114,17 +124,17 @@ DatabasePtr Database::from_serialized_impl(util::ByteView blob,
           "' is unavailable on this CPU; pass one explicitly");
     }
   }
-  auto db = std::make_shared<Database>(Private{}, algorithm, std::move(set));
-  if (header.version >= 2) {
-    // The prefilter section is mandatory in v2 blobs: tolerating its absence
-    // would make every truncation at the pattern-records boundary load
-    // silently.  Adopting the parsed (checksummed) signatures — rather than
-    // keeping the ctor-rebuilt ones — makes the loaded artifact screen
-    // bit-identically to the process that saved it.
-    db->prefilters_ =
-        core::parse_prefilter_section(blob.subspan(consumed), db->fingerprint_);
-  }
-  return db;
+  // The prefilter section is mandatory in v2 blobs: tolerating its absence
+  // would make every truncation at the pattern-records boundary load
+  // silently.  Adopting the parsed (checksummed) signatures makes the loaded
+  // artifact screen bit-identically to the process that saved it.  v1 blobs
+  // predate the section and build signatures locally, as compile() does.
+  core::GroupPrefilters prefilters =
+      header.version >= 2
+          ? core::parse_prefilter_section(blob.subspan(consumed), fingerprint)
+          : build_group_prefilters(set);
+  return std::make_shared<Database>(Private{}, algorithm, std::move(set),
+                                    std::move(prefilters));
 }
 
 DatabasePtr Database::from_serialized(util::ByteView blob) {

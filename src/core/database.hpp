@@ -43,7 +43,8 @@ class Database {
   struct Private {};  // compile()/from_serialized() are the only builders
 
  public:
-  Database(Private, core::Algorithm algorithm, pattern::PatternSet patterns);
+  Database(Private, core::Algorithm algorithm, pattern::PatternSet patterns,
+           core::GroupPrefilters prefilters);
 
   core::Algorithm algorithm() const { return algorithm_; }
   std::string_view algorithm_name() const { return core::algorithm_name(algorithm_); }
@@ -60,7 +61,7 @@ class Database {
   // The owned pattern copy (ids are the ids engines report).
   const pattern::PatternSet& patterns() const { return patterns_; }
 
-  // Per-group approximate q-gram signatures, built eagerly at compile time
+  // Per-group approximate q-gram signatures, built at compile time
   // over each group's own + generic patterns (the same composition
   // GroupedRules scans).  Null slot = no usable signature for that group
   // (empty, or contains a sub-3-byte pattern).  Serialized inside

@@ -309,16 +309,7 @@ void TcpReassembler::close_flow(const FiveTuple& tuple) {
 
 std::vector<FiveTuple> TcpReassembler::evict_idle(std::uint64_t now_us,
                                                   std::uint64_t idle_us) {
-  std::vector<FiveTuple> evicted;
-  if (idle_us == 0) return evicted;
-  conns_.sweep([&](const FiveTuple&, ConnectionState& conn) {
-    if (conn.last_activity_us + idle_us > now_us) return false;
-    evicted.push_back(conn.sides[0]);
-    finish_connection(conn, EndReason::evicted);
-    return true;
-  });
-  stats_.evicted_flows += evicted.size();
-  return evicted;
+  return evict_idle_step(now_us, idle_us, table_capacity());
 }
 
 std::vector<FiveTuple> TcpReassembler::evict_idle_step(std::uint64_t now_us,

@@ -166,7 +166,7 @@ class TcpReassembler {
   // counted in discarded_on_close_bytes).  The end callback fires per
   // eviction with EndReason::evicted; the returned client-side tuples let
   // callers without an end callback tear down dependent state.  idle_us == 0
-  // evicts nothing.
+  // evicts nothing.  One evict_idle_step over the whole table.
   std::vector<FiveTuple> evict_idle(std::uint64_t now_us, std::uint64_t idle_us);
 
   // Incremental eviction: examines at most `max_slots` flow-table slots from

@@ -78,13 +78,13 @@ struct PipelineConfig {
   // replays behave identically at any speed.  0 disables eviction.
   std::uint64_t idle_timeout_us = 0;
   std::size_t eviction_sweep_packets = 512;  // packets between sweeps
-  // Upper bound on flow-table slots examined per eviction sweep.  0 = full
-  // sweep every time (exact, but an O(table) latency spike at million-flow
-  // scale).  Nonzero bounds per-batch eviction work: each sweep advances a
-  // rotating cursor by at most this many slots, so idle flows are evicted
-  // with bounded lag instead of a stall — the soak bench quantifies the
-  // spike-vs-debt trade.  Small tables are unaffected (a bound >= capacity
-  // is a full sweep).
+  // Upper bound on flow-table slots examined per eviction sweep.  Each
+  // sweep advances a rotating cursor by at most this many slots, so idle
+  // flows are evicted with bounded lag instead of a stall — the soak bench
+  // quantifies the spike-vs-debt trade.  0 = no bound: the same step over
+  // the whole table every time (exact, but an O(table) latency spike at
+  // million-flow scale).  Small tables are unaffected (a bound >= capacity
+  // is a whole-table step).
   std::size_t eviction_max_steps = 0;
 
   // Worker→CPU pinning: worker i pins its thread to worker_cpus[i %

@@ -92,10 +92,11 @@ class PipelineRuntime {
   // stats().workers[i].rules_generation).
   std::uint64_t generation() const;
 
-  // Blocks until every packet submitted so far has been consumed from the
-  // rings (flushes partial batches first).  Same single-producer rule as
-  // submit().  The quiesce-then-swap recipe gives an exact packet partition
-  // between ruleset generations.
+  // Blocks until every packet submitted so far has been consumed and
+  // scanned, and its alerts delivered to the sink (flushes partial batches
+  // first; workers publish a batch's packet count after its scan round).
+  // Same single-producer rule as submit().  The quiesce-then-swap recipe
+  // gives an exact packet partition between ruleset generations.
   void quiesce();
 
   // Drains: flushes, lets every worker consume its ring to empty, joins the

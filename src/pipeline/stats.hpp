@@ -1,9 +1,11 @@
 // Aggregated counter view of a running (or finished) pipeline.
 //
-// Workers publish their counters through relaxed atomics after every batch,
-// so PipelineRuntime::stats() can be called from any thread at any time and
-// returns a coherent-enough snapshot (counts lag by at most one in-flight
-// batch per worker).
+// Each worker counts into a plain WorkerStats on its own thread and
+// publishes every field (for_each_field order) into atomics at batch
+// boundaries: after every batch, after a rules adoption or a ladder move.
+// So PipelineRuntime::stats() can be called from any thread at any time and,
+// by construction, lags each worker by at most the one batch in flight.
+// heartbeats, sink_errors and sink_quarantined are read live.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +77,7 @@ struct WorkerStats {
   // added to the struct but not the table trips the static_assert below.
   // f(name, kind, member pointer) per field.
   template <typename F>
-  static void for_each_field(F&& f) {
+  static constexpr void for_each_field(F&& f) {
     f("packets", StatKind::counter, &WorkerStats::packets);
     f("batches", StatKind::counter, &WorkerStats::batches);
     f("payload_bytes", StatKind::counter, &WorkerStats::payload_bytes);
@@ -120,6 +122,12 @@ struct WorkerStats {
   // for_each_field (pick its StatKind deliberately) and bump the count.
   static constexpr std::size_t kFieldCount = 32;
 
+  static constexpr std::size_t listed_field_count() {
+    std::size_t n = 0;
+    for_each_field([&n](const char*, StatKind, auto) { ++n; });
+    return n;
+  }
+
   WorkerStats& operator+=(const WorkerStats& o) {
     for_each_field([&](const char*, StatKind kind, auto member) {
       switch (kind) {
@@ -138,6 +146,9 @@ struct WorkerStats {
 
 static_assert(sizeof(WorkerStats) == WorkerStats::kFieldCount * sizeof(std::uint64_t),
               "WorkerStats changed: update for_each_field and kFieldCount");
+// Workers publish into an array indexed in for_each_field order.
+static_assert(WorkerStats::listed_field_count() == WorkerStats::kFieldCount,
+              "for_each_field must list every WorkerStats field exactly once");
 
 struct PipelineStats {
   std::vector<WorkerStats> workers;

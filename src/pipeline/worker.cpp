@@ -67,7 +67,7 @@ Worker::Worker(ids::GroupedRulesPtr rules, const PipelineConfig& cfg,
         engine_.close_flow(flow_key(client));
         engine_.close_flow(flow_key(client.reversed()));
       });
-  published_.rules_generation.store(engine_.generation(), std::memory_order_relaxed);
+  publish_stats();
 }
 
 Worker::~Worker() {
@@ -207,35 +207,42 @@ void Worker::run_loop() {
 }
 
 void Worker::drain_after_failure() {
-  // The engine is in an unknown state; do not touch it.  Keep consuming so
-  // the producer never blocks on this shard, counting every packet as shed —
-  // the drain identity (packets == processed + shed) keeps holding, it just
-  // attributes the loss honestly.
+  // The engine is in an unknown state; do not scan with it.  Keep consuming
+  // so the producer never blocks on this shard, counting every packet as
+  // shed — the drain identity (packets == processed + shed) keeps holding,
+  // it just attributes the loss honestly.  Publishing per batch (and once up
+  // front, for the failed batch) keeps quiesce() returning.
+  publish_stats();
   PacketBatch batch;
-  const auto shed_batch = [this](const PacketBatch& b) {
-    for (const net::Packet& p : b) {
-      published_.packets.fetch_add(1, std::memory_order_relaxed);
-      published_.payload_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
-      published_.shed_packets.fetch_add(1, std::memory_order_relaxed);
-      published_.shed_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
-    }
+  const auto shed_batch = [this](PacketBatch& b) {
+    shed(b, 0);
+    publish_stats();
+    b.clear();
   };
   for (;;) {
     heartbeat_.fetch_add(1, std::memory_order_relaxed);
     if (ring_.try_pop(batch)) {
       shed_batch(batch);
-      batch.clear();
       continue;
     }
     if (done_.load(std::memory_order_acquire)) {
       if (ring_.try_pop(batch)) {
         shed_batch(batch);
-        batch.clear();
         continue;
       }
       return;
     }
     std::this_thread::yield();
+  }
+}
+
+void Worker::shed(const PacketBatch& batch, std::size_t from) {
+  for (std::size_t i = from; i < batch.size(); ++i) {
+    const std::size_t bytes = batch.packets[i].payload.size();
+    ++counts_.packets;
+    counts_.payload_bytes += bytes;
+    ++counts_.shed_packets;
+    counts_.shed_bytes += bytes;
   }
 }
 
@@ -251,9 +258,8 @@ void Worker::maybe_adopt_rules() {
   // Flushes staged chunks under the old generation, then retires this
   // worker's reference to it (the last adopter destroys it).
   engine_.swap_rules(std::move(rules), *sink_);
-  ++swaps_adopted_;
-  published_.rules_generation.store(engine_.generation(), std::memory_order_relaxed);
-  published_.rules_swaps.store(swaps_adopted_, std::memory_order_relaxed);
+  ++counts_.rules_swaps;
+  publish_stats();
 }
 
 void Worker::apply_overload() {
@@ -263,10 +269,8 @@ void Worker::apply_overload() {
   const DegradationLevel prev = overload_.level();
   const DegradationLevel now = overload_.update(fill);
   if (now == prev) return;
-  published_.degradation_level.store(static_cast<std::uint64_t>(now),
-                                     std::memory_order_relaxed);
-  published_.degradation_transitions.store(overload_.transitions(),
-                                           std::memory_order_relaxed);
+  counts_.degradation_level = static_cast<std::uint64_t>(now);
+  counts_.degradation_transitions = overload_.transitions();
   // Rung 1+: shrink (or on descent restore) the reassembly buffering budget.
   if (now >= DegradationLevel::shrink_budgets) {
     const auto shrunk = static_cast<std::size_t>(
@@ -279,6 +283,7 @@ void Worker::apply_overload() {
   // the next episode judges flows on fresh behavior (and the map stays
   // empty in normal operation).
   if (now < DegradationLevel::shed_load) shed_flow_bytes_.clear();
+  publish_stats();
 }
 
 void Worker::process(PacketBatch& batch) {
@@ -299,16 +304,13 @@ void Worker::process(PacketBatch& batch) {
     // Account the packets handle_packet never saw as consumed-and-shed, so
     // the drain identity survives a mid-batch failure; then let run()'s
     // containment boundary take over.
-    for (std::size_t i = handled; i < batch.size(); ++i) {
-      const net::Packet& p = batch.packets[i];
-      published_.packets.fetch_add(1, std::memory_order_relaxed);
-      published_.payload_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
-      published_.shed_packets.fetch_add(1, std::memory_order_relaxed);
-      published_.shed_bytes.fetch_add(p.payload.size(), std::memory_order_relaxed);
-    }
+    shed(batch, handled);
     throw;
   }
-  published_.batches.fetch_add(1, std::memory_order_relaxed);
+  // Published only now, after the batch's alerts reached the sink: a reader
+  // that sees `packets` cover a packet also sees that packet's alerts
+  // delivered (quiesce() relies on this).
+  ++counts_.batches;
   publish_stats();
 }
 
@@ -326,15 +328,15 @@ bool Worker::should_shed(const net::Packet& packet) {
 
 void Worker::handle_packet(net::Packet& packet) {
   virtual_now_us_ = std::max(virtual_now_us_, packet.timestamp_us);
-  published_.packets.fetch_add(1, std::memory_order_relaxed);
-  published_.payload_bytes.fetch_add(packet.payload.size(), std::memory_order_relaxed);
+  ++counts_.packets;
+  counts_.payload_bytes += packet.payload.size();
 
   if (should_shed(packet)) {
-    published_.shed_packets.fetch_add(1, std::memory_order_relaxed);
-    published_.shed_bytes.fetch_add(packet.payload.size(), std::memory_order_relaxed);
+    ++counts_.shed_packets;
+    counts_.shed_bytes += packet.payload.size();
     return;
   }
-  published_.processed_packets.fetch_add(1, std::memory_order_relaxed);
+  ++counts_.processed_packets;
 
   if (packet.tuple.proto == net::IpProto::tcp) {
     reassembler_.ingest(packet);
@@ -370,104 +372,57 @@ void Worker::sweep_idle(std::uint64_t idle_us) {
   // Engine-side teardown happens in the reassembler's connection-end
   // callback (both directions of each evicted connection).
   // eviction_max_steps bounds the slots examined per sweep (rotating
-  // cursor); 0 keeps the exact full sweep.
-  const std::size_t max_steps = cfg_.eviction_max_steps;
-  const auto evicted =
-      max_steps == 0 ? reassembler_.evict_idle(virtual_now_us_, idle_us)
-                     : reassembler_.evict_idle_step(virtual_now_us_, idle_us, max_steps);
-  evicted_ += evicted.size();
-  const auto evict_udp = [&](std::uint64_t key, std::uint64_t last_seen) {
-    if (last_seen + idle_us > virtual_now_us_) return false;
-    engine_.close_flow(key);
-    ++evicted_;
-    return true;
-  };
-  if (max_steps == 0) {
-    udp_last_seen_.sweep(evict_udp);
-  } else {
-    udp_last_seen_.sweep_step(max_steps, evict_udp);
-  }
+  // cursor); 0 is one step over the whole table (sweep_step clamps).
+  const std::size_t max_steps =
+      cfg_.eviction_max_steps == 0 ? SIZE_MAX : cfg_.eviction_max_steps;
+  counts_.flows_evicted +=
+      reassembler_.evict_idle_step(virtual_now_us_, idle_us, max_steps).size();
+  counts_.flows_evicted += udp_last_seen_.sweep_step(
+      max_steps, [&](std::uint64_t key, std::uint64_t last_seen) {
+        if (last_seen + idle_us > virtual_now_us_) return false;
+        engine_.close_flow(key);
+        return true;
+      });
 }
 
 void Worker::publish_stats() {
   const ids::EngineCounters& ec = engine_.counters();
-  published_.bytes_inspected.store(ec.bytes_inspected, std::memory_order_relaxed);
-  published_.chunks.store(ec.chunks, std::memory_order_relaxed);
-  published_.alerts.store(ec.alerts, std::memory_order_relaxed);
-  published_.flows_seen.store(ec.flows, std::memory_order_relaxed);
-  published_.flows_evicted.store(evicted_, std::memory_order_relaxed);
+  counts_.bytes_inspected = ec.bytes_inspected;
+  counts_.chunks = ec.chunks;
+  counts_.alerts = ec.alerts;
+  counts_.flows_seen = ec.flows;
+  counts_.prefilter_pass_payloads = ec.prefilter_pass_payloads;
+  counts_.prefilter_reject_payloads = ec.prefilter_reject_payloads;
+  counts_.prefilter_pass_bytes = ec.prefilter_pass_bytes;
+  counts_.prefilter_reject_bytes = ec.prefilter_reject_bytes;
+  counts_.active_flows = engine_.active_flows();
+  counts_.rules_generation = engine_.generation();
   const net::ReassemblyStats& rs = reassembler_.stats();
-  published_.reassembly_drops.store(rs.dropped_segments, std::memory_order_relaxed);
-  published_.duplicate_bytes_trimmed.store(rs.overlap_bytes_trimmed(),
-                                           std::memory_order_relaxed);
-  published_.c2s_delivered_bytes.store(rs.side[0].delivered_bytes,
-                                       std::memory_order_relaxed);
-  published_.s2c_delivered_bytes.store(rs.side[1].delivered_bytes,
-                                       std::memory_order_relaxed);
-  published_.overwritten_bytes.store(
-      rs.side[0].overwritten_bytes + rs.side[1].overwritten_bytes,
-      std::memory_order_relaxed);
-  published_.discarded_on_close_bytes.store(rs.discarded_on_close_bytes,
-                                            std::memory_order_relaxed);
-  published_.connections_started.store(rs.connections_started,
-                                       std::memory_order_relaxed);
-  published_.connections_ended.store(rs.connections_ended, std::memory_order_relaxed);
-  published_.active_flows.store(engine_.active_flows(), std::memory_order_relaxed);
-  published_.tracked_connections.store(
-      reassembler_.active_flows() + udp_last_seen_.size(), std::memory_order_relaxed);
-  published_.rules_generation.store(engine_.generation(), std::memory_order_relaxed);
-  published_.rules_swaps.store(swaps_adopted_, std::memory_order_relaxed);
-  published_.prefilter_pass_payloads.store(ec.prefilter_pass_payloads,
-                                           std::memory_order_relaxed);
-  published_.prefilter_reject_payloads.store(ec.prefilter_reject_payloads,
-                                             std::memory_order_relaxed);
-  published_.prefilter_pass_bytes.store(ec.prefilter_pass_bytes,
-                                        std::memory_order_relaxed);
-  published_.prefilter_reject_bytes.store(ec.prefilter_reject_bytes,
-                                          std::memory_order_relaxed);
+  counts_.reassembly_drops = rs.dropped_segments;
+  counts_.duplicate_bytes_trimmed = rs.overlap_bytes_trimmed();
+  counts_.c2s_delivered_bytes = rs.side[0].delivered_bytes;
+  counts_.s2c_delivered_bytes = rs.side[1].delivered_bytes;
+  counts_.overwritten_bytes = rs.side[0].overwritten_bytes + rs.side[1].overwritten_bytes;
+  counts_.discarded_on_close_bytes = rs.discarded_on_close_bytes;
+  counts_.connections_started = rs.connections_started;
+  counts_.connections_ended = rs.connections_ended;
+  counts_.tracked_connections = reassembler_.active_flows() + udp_last_seen_.size();
+  std::size_t i = 0;
+  WorkerStats::for_each_field([&](const char*, StatKind, auto member) {
+    published_[i++].store(counts_.*member, std::memory_order_release);
+  });
 }
 
 WorkerStats Worker::stats() const {
   WorkerStats s;
-  s.packets = published_.packets.load(std::memory_order_relaxed);
-  s.batches = published_.batches.load(std::memory_order_relaxed);
-  s.payload_bytes = published_.payload_bytes.load(std::memory_order_relaxed);
-  s.bytes_inspected = published_.bytes_inspected.load(std::memory_order_relaxed);
-  s.chunks = published_.chunks.load(std::memory_order_relaxed);
-  s.alerts = published_.alerts.load(std::memory_order_relaxed);
-  s.flows_seen = published_.flows_seen.load(std::memory_order_relaxed);
-  s.flows_evicted = published_.flows_evicted.load(std::memory_order_relaxed);
-  s.reassembly_drops = published_.reassembly_drops.load(std::memory_order_relaxed);
-  s.duplicate_bytes_trimmed =
-      published_.duplicate_bytes_trimmed.load(std::memory_order_relaxed);
-  s.c2s_delivered_bytes = published_.c2s_delivered_bytes.load(std::memory_order_relaxed);
-  s.s2c_delivered_bytes = published_.s2c_delivered_bytes.load(std::memory_order_relaxed);
-  s.overwritten_bytes = published_.overwritten_bytes.load(std::memory_order_relaxed);
-  s.discarded_on_close_bytes =
-      published_.discarded_on_close_bytes.load(std::memory_order_relaxed);
-  s.connections_started = published_.connections_started.load(std::memory_order_relaxed);
-  s.connections_ended = published_.connections_ended.load(std::memory_order_relaxed);
-  s.active_flows = published_.active_flows.load(std::memory_order_relaxed);
-  s.tracked_connections = published_.tracked_connections.load(std::memory_order_relaxed);
-  s.rules_generation = published_.rules_generation.load(std::memory_order_relaxed);
-  s.rules_swaps = published_.rules_swaps.load(std::memory_order_relaxed);
-  s.processed_packets = published_.processed_packets.load(std::memory_order_relaxed);
-  s.shed_packets = published_.shed_packets.load(std::memory_order_relaxed);
-  s.shed_bytes = published_.shed_bytes.load(std::memory_order_relaxed);
-  s.degradation_level = published_.degradation_level.load(std::memory_order_relaxed);
-  s.degradation_transitions =
-      published_.degradation_transitions.load(std::memory_order_relaxed);
+  std::size_t i = 0;
+  WorkerStats::for_each_field([&](const char*, StatKind, auto member) {
+    s.*member = published_[i++].load(std::memory_order_acquire);
+  });
+  // Liveness and sink health are read live from their own atomics.
   s.heartbeats = heartbeat_.load(std::memory_order_relaxed);
   s.sink_errors = guarded_sink_.errors();
   s.sink_quarantined = guarded_sink_.quarantined() ? 1 : 0;
-  s.prefilter_pass_payloads =
-      published_.prefilter_pass_payloads.load(std::memory_order_relaxed);
-  s.prefilter_reject_payloads =
-      published_.prefilter_reject_payloads.load(std::memory_order_relaxed);
-  s.prefilter_pass_bytes =
-      published_.prefilter_pass_bytes.load(std::memory_order_relaxed);
-  s.prefilter_reject_bytes =
-      published_.prefilter_reject_bytes.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -2,8 +2,8 @@
 // IdsEngine pair, fed packet batches through an SPSC ring.
 //
 // Shared-nothing on the hot path: the worker's flow tables, scratch, and
-// alert buffer are touched only by its thread; the ring, the atomic counter
-// mirror, and the read-only shared compiled ruleset (GroupedRulesPtr — one
+// alert buffer are touched only by its thread; the ring, the published
+// counters, and the read-only shared compiled ruleset (GroupedRulesPtr — one
 // instance per generation, shared by every worker instead of compiled per
 // worker) are the only cross-thread state.  Flow ids are the stable
 // flow_key (tuple hash), so a worker's alerts are bitwise what a
@@ -20,6 +20,7 @@
 // reference.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -134,7 +135,8 @@ class Worker {
   void request_stop();
   void join();
 
-  // Coherent-enough snapshot; callable from any thread while running.
+  // Counters as of the worker's last publication (a batch boundary);
+  // callable from any thread while running.
   WorkerStats stats() const;
 
   // Registers this worker's instruments (labelled worker="index") in `reg`
@@ -163,6 +165,7 @@ class Worker {
   void run();
   void run_loop();
   void drain_after_failure();
+  void shed(const PacketBatch& batch, std::size_t from);
   void maybe_adopt_rules();
   void process(PacketBatch& batch);
   void handle_packet(net::Packet& packet);
@@ -209,41 +212,14 @@ class Worker {
   // empty (and costs nothing) in normal operation.
   std::unordered_map<std::uint64_t, std::uint64_t> shed_flow_bytes_;
 
-  // Published counters (relaxed; read by stats()).
-  struct AtomicStats {
-    std::atomic<std::uint64_t> packets{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> payload_bytes{0};
-    std::atomic<std::uint64_t> bytes_inspected{0};
-    std::atomic<std::uint64_t> chunks{0};
-    std::atomic<std::uint64_t> alerts{0};
-    std::atomic<std::uint64_t> flows_seen{0};
-    std::atomic<std::uint64_t> flows_evicted{0};
-    std::atomic<std::uint64_t> reassembly_drops{0};
-    std::atomic<std::uint64_t> duplicate_bytes_trimmed{0};
-    std::atomic<std::uint64_t> c2s_delivered_bytes{0};
-    std::atomic<std::uint64_t> s2c_delivered_bytes{0};
-    std::atomic<std::uint64_t> overwritten_bytes{0};
-    std::atomic<std::uint64_t> discarded_on_close_bytes{0};
-    std::atomic<std::uint64_t> connections_started{0};
-    std::atomic<std::uint64_t> connections_ended{0};
-    std::atomic<std::uint64_t> active_flows{0};
-    std::atomic<std::uint64_t> tracked_connections{0};
-    std::atomic<std::uint64_t> rules_generation{0};
-    std::atomic<std::uint64_t> rules_swaps{0};
-    std::atomic<std::uint64_t> processed_packets{0};
-    std::atomic<std::uint64_t> shed_packets{0};
-    std::atomic<std::uint64_t> shed_bytes{0};
-    std::atomic<std::uint64_t> degradation_level{0};
-    std::atomic<std::uint64_t> degradation_transitions{0};
-    std::atomic<std::uint64_t> prefilter_pass_payloads{0};
-    std::atomic<std::uint64_t> prefilter_reject_payloads{0};
-    std::atomic<std::uint64_t> prefilter_pass_bytes{0};
-    std::atomic<std::uint64_t> prefilter_reject_bytes{0};
-  };
-  AtomicStats published_;
-  std::uint64_t evicted_ = 0;  // engine+reassembler evictions (thread-local)
-  std::uint64_t swaps_adopted_ = 0;
+  // The worker thread counts into counts_; publish_stats() fills in the
+  // engine- and reassembler-owned fields and stores every field, in
+  // WorkerStats::for_each_field order, into published_, which is all
+  // stats() reads.  Release stores / acquire loads: a reader that sees a
+  // batch's counts also sees everything the worker did before publishing
+  // them (its alerts delivered to the sink).
+  WorkerStats counts_;
+  std::array<std::atomic<std::uint64_t>, WorkerStats::kFieldCount> published_{};
 
   // Liveness + failure containment.
   std::atomic<std::uint64_t> heartbeat_{0};

@@ -240,7 +240,7 @@ TEST(FlowTable, SweepStepMatchesFullSweep) {
   ASSERT_EQ(full.capacity(), stepped.capacity());
 
   const auto evict = [](std::uint64_t, std::uint64_t& v) { return v % 3 == 0; };
-  const std::size_t erased_full = full.sweep(evict);
+  const std::size_t erased_full = full.sweep_step(full.capacity(), evict);
 
   // Bounded steps whose slot counts sum past capacity() must converge to the
   // identical eviction set — the evict_idle_step contract.

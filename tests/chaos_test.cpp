@@ -471,6 +471,38 @@ TEST_F(ChaosWorker, BatchFailureIsContainedDrainedAndAccounted) {
   EXPECT_EQ(totals.shed_packets, totals.packets);
 }
 
+// A dead worker keeps publishing while it drains, so quiesce() returns:
+// first when the failed batch was the shard's only one (published as the
+// drain starts), then over batches drained afterwards.
+TEST_F(ChaosWorker, QuiesceReturnsAfterAWorkerDies) {
+  ASSERT_EQ(fp::arm("worker_batch=once:1"), "");
+  pipeline::PipelineConfig cfg;
+  cfg.workers = 2;
+  cfg.batch_packets = 32;
+  pipeline::PipelineRuntime rt(compile(core::Algorithm::vpatch, demo_rules()), cfg);
+  rt.start();
+  // One flow, fewer packets than a batch: quiesce()'s flush pushes exactly
+  // one batch, to one shard, and that batch fails.
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    rt.submit(tcp_packet(1, 40000, 100 + i * 8, "xxNEEDLE", i));
+  }
+  rt.quiesce();
+  auto stats = rt.stats();
+  EXPECT_EQ(stats.worker_failures, 1u);
+  EXPECT_EQ(stats.totals().packets, 8u);
+  EXPECT_EQ(stats.totals().shed_packets, 8u);
+
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    rt.submit(tcp_packet(1 + i % 8, 40000, 200 + (i / 8) * 8, "xxNEEDLE", 8 + i));
+  }
+  rt.quiesce();
+  stats = rt.stats();
+  EXPECT_EQ(stats.totals().packets, 72u);
+  EXPECT_EQ(stats.worker_failures, 1u) << "once:1 kills exactly one worker";
+  rt.stop();
+  expect_accounting_identity(rt.stats());
+}
+
 TEST(ChaosWatchdog, FlagsOneStallPerEpisodeAndClearsOnRecovery) {
   std::atomic<std::uint64_t> heartbeat{0};
   std::atomic<bool> finished{false};

@@ -8,7 +8,9 @@
 #include <thread>
 
 #include "helpers.hpp"
+#include "ids/pcap_pipeline.hpp"
 #include "net/flowgen.hpp"
+#include "net/pcap.hpp"
 #include "pipeline/runtime.hpp"
 
 namespace vpm::pipeline {
@@ -259,6 +261,56 @@ TEST(PipelineRuntime, ThreadSafeAlertSinkReceivesEverything) {
   EXPECT_TRUE(rt.alerts().empty()) << "alerts were routed to the external sink";
   EXPECT_EQ(sink.alerts.size(), 12u);
   EXPECT_EQ(rt.stats().totals().alerts, 12u);
+}
+
+// quiesce() returns only after every submitted packet's alerts reached the
+// sink: a worker publishes a batch's `packets` after that batch's scan round,
+// so the count read between quiesce() and stop() is already complete.
+TEST(PipelineRuntime, QuiesceReturnsAfterEverySubmittedAlertReachedTheSink) {
+  struct CountingSink final : ids::AlertSink {
+    std::atomic<std::uint64_t> count{0};
+    void on_alert(const ids::Alert&) override {
+      count.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  pattern::PatternSet rules;
+  rules.add("GET /", false, pattern::Group::http);
+  rules.add("HTTP/1.1", true, pattern::Group::http);
+  rules.add("Host:", true, pattern::Group::http);
+  rules.add("ion", false, pattern::Group::generic);
+  rules.add("admin", true, pattern::Group::generic);
+  const DatabasePtr db = compile(core::Algorithm::aho_corasick, rules);
+
+  net::FlowGenConfig fcfg;
+  fcfg.flow_count = 8;
+  fcfg.bytes_per_flow = 16000;
+  fcfg.reorder_fraction = 0.2;
+  fcfg.seed = testutil::case_seed(140);
+  fcfg.evasion = true;
+  const std::vector<net::Packet> packets = net::generate_flows(fcfg).packets;
+  const std::size_t expected =
+      ids::inspect_pcap(net::write_pcap(packets), db).alerts.size();
+  ASSERT_GT(expected, 0u) << testutil::seed_note();
+
+  for (unsigned workers : {1u, 2u, 4u}) {
+    for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
+      CountingSink sink;
+      PipelineConfig cfg;
+      cfg.workers = workers;
+      cfg.batch_packets = batch;
+      cfg.alert_sink = &sink;
+      PipelineRuntime rt(db, cfg);
+      rt.start();
+      rt.submit(std::span<const net::Packet>(packets));
+      rt.quiesce();
+      EXPECT_EQ(sink.count.load(std::memory_order_relaxed), expected)
+          << workers << " workers, batch " << batch << " (" << testutil::seed_note()
+          << ")";
+      rt.stop();
+      EXPECT_EQ(sink.count.load(std::memory_order_relaxed), expected)
+          << workers << " workers, batch " << batch;
+    }
+  }
 }
 
 TEST(PipelineRuntime, IsOneShot) {
